@@ -13,9 +13,10 @@ Subcommands (all write to stdout, or to a file via ``--out``):
     correlate   Monte Carlo majority rate under a correlated vote model
     figure      data series behind the standard plots (ids 1..8)
 
-Domain errors exit with code 1 and a one-line message on stderr; bad flags
-exit with code 2.  Output is fully built before anything is written, so a
-failing command never leaves partial CSV on stdout.
+Domain errors and an ``--out`` file that cannot be written exit with code 1
+and a one-line message on stderr; bad flags exit with code 2.  Output is
+fully built before anything is written, so a failing command never leaves
+partial CSV on stdout.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import os
 import sys
 
+from . import _checks
 from .correlation import CovarianceSpec, ladha_bound, parse_model, sample_majority_rate
 from .csvio import CsvTable
 from .dynamics import integrate, load_scenario, parse_dynamics_config, trajectory_table
@@ -57,7 +59,7 @@ def _render_float(x: float) -> str:
 
 
 def _cmd_majority(args) -> str:
-    rule = MajorityRule.FAIR_COIN if args.tie_break == "fair-coin" else MajorityRule.FAIL
+    rule = MajorityRule(args.tie_break)
     if (args.probs is None) == (args.n is None):
         raise DomainError("specify either --n/--p or --probs")
     if args.probs is not None:
@@ -111,20 +113,18 @@ def _cmd_bound(args) -> str:
 
 
 def _cmd_rates(args) -> str:
-    if args.n_max < 1:
-        raise DomainError(f"--n-max must be positive, got {args.n_max}")
+    n_max = _checks.count(args.n_max, "--n-max")
     exact_fn = critical_group_rate if args.kind == "critical" else expert_threshold
     rows = []
-    for n in range(1, args.n_max + 1, 2):
+    for n in range(1, n_max + 1, 2):
         check = asymptotic_rate_check(n, args.kind)
         rows.append((n, exact_fn(n), check.exact, check.asymptote))
     return CsvTable(("n", "exact", "value", "asymptote"), rows).render()
 
 
 def _cmd_tradeoff(args) -> str:
-    if args.points < 2:
-        raise DomainError(f"--points must be at least 2, got {args.points}")
-    grid = [args.t_max * i / (args.points - 1) for i in range(args.points)]
+    points = _checks.count(args.points, "--points", minimum=2)
+    grid = [args.t_max * i / (points - 1) for i in range(points)]
     rows = fixed_budget_compare(args.c1, args.cg, args.n, grid)
     return CsvTable(("T", "P_single", "P_group"), rows).render()
 
@@ -251,8 +251,12 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
     else:
         try:
             sys.stdout.write(output)

@@ -30,8 +30,9 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from . import _checks
 from .errors import DomainError, InfeasibleCovarianceError
-from .votemath import CompetenceVector, _check_prob
+from .votemath import CompetenceVector
 
 __all__ = [
     "CovarianceSpec",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_BLOCK = 1 << 20  # votes drawn at once; also the largest CommonCoin jury
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +101,10 @@ class CommonCoin:
     mix: float
 
     def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError(f"number of voters must be a positive integer, got {self.n!r}")
-        _check_prob(self.p, "coin bias")
-        _check_prob(self.mix, "mixing weight")
+        object.__setattr__(self, "n", _checks.count(self.n, "number of voters"))
+        _checks.within(self.n, "number of voters", 1, _BLOCK)
+        _checks.within(self.p, "coin bias")
+        _checks.within(self.mix, "mixing weight")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,7 @@ class ExactMajoritySet:
     n: int
 
     def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise DomainError(f"number of voters must be a positive odd integer, got {self.n!r}")
+        object.__setattr__(self, "n", _checks.count(self.n, "number of voters", odd=True))
 
 
 CorrelatedVoteModel = Union[Independent, CommonCoin, ExactMajoritySet]
@@ -160,18 +161,25 @@ class SampleResult(NamedTuple):
     stderr: float
 
 
+def _vote_totals(rng: np.random.Generator, m: int, n: int, probs) -> np.ndarray:
+    # Row blocks consume the same stream as one (m, n) draw while holding at
+    # most max(_BLOCK, n) votes in memory.
+    rows = max(1, _BLOCK // n)
+    return np.concatenate(
+        [(rng.random((min(rows, m - i), n)) < probs).sum(axis=1) for i in range(0, m, rows)]
+    )
+
+
 def _count_correct(model: CorrelatedVoteModel, m: int, rng: np.random.Generator) -> int:
     if isinstance(model, Independent):
         probs = np.asarray(model.p.probs)
         n = len(probs)
-        votes = rng.random((m, n)) < probs
-        total = votes.sum(axis=1)
+        total = _vote_totals(rng, m, n, probs)
     elif isinstance(model, CommonCoin):
         n = model.n
         copied = rng.random(m) < model.mix
         common = rng.random(m) < model.p
-        votes = rng.random((m, n)) < model.p
-        total = np.where(copied, n * common.astype(np.int64), votes.sum(axis=1))
+        total = np.where(copied, n * common.astype(np.int64), _vote_totals(rng, m, n, model.p))
     else:
         # every assignment sets exactly ceil(n/2) votes correct, so the
         # correct count is k regardless of which subset is drawn
@@ -194,9 +202,7 @@ def sample_majority_rate(
     Even group sizes resolve ties with a fair coin.  The result is
     bit-identical for identical (model, trials, seed).
     """
-    if trials < 1 or trials != int(trials):
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
-    trials = int(trials)
+    trials = _checks.count(trials, "trials")
     base = int(seed) % (1 << 63)
     hits = 0
     done = 0
@@ -249,9 +255,9 @@ def parse_model(spec: str) -> CorrelatedVoteModel:
             raise DomainError(f"non-numeric probability in {spec!r}") from None
         return Independent(CompetenceVector(probs))
     if kind == "commoncoin":
-        return CommonCoin(n=int(one_float("n")), p=one_float("p"), mix=one_float("lambda"))
+        return CommonCoin(n=one_float("n"), p=one_float("p"), mix=one_float("lambda"))
     if kind == "exactmajority":
-        return ExactMajoritySet(n=int(one_float("n")))
+        return ExactMajoritySet(n=one_float("n"))
     raise DomainError(
         f"unknown model kind {kind!r} (expected independent/commoncoin/exactmajority)"
     )

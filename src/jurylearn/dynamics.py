@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _checks
 from .csvio import CsvTable
 from .errors import (
     DomainError,
@@ -72,30 +73,22 @@ class DynamicsConfig:
         leader_multiplier: float = 1.0,
         window: float | None = None,
     ):
-        if n < 1 or n != int(n):
-            raise DomainError(f"number of voters must be a positive integer, got {n!r}")
-        values = tuple(float(x) for x in initial)
+        n = _checks.count(n, "number of voters")
+        values = tuple(_checks.within(x, "initial competence") for x in initial)
         if len(values) != n:
             raise DomainError(f"expected {n} initial competences, got {len(values)}")
-        if any(not 0.0 <= x <= 1.0 for x in values):
-            raise DomainError("initial competences must lie in [0, 1]")
-        if leader_gain < 0.0:
-            raise DomainError(f"leader gain must be non-negative, got {leader_gain!r}")
-        if not leader_multiplier > 0.0:
-            raise DomainError(f"leader multiplier must be positive, got {leader_multiplier!r}")
-        if window is not None and not window > 0.0:
-            raise DomainError(f"window radius must be positive, got {window!r}")
-        if t_end < 0.0:
-            raise DomainError(f"end time must be non-negative, got {t_end!r}")
-        if not step > 0.0:
-            raise DomainError(f"step size must be positive, got {step!r}")
-        object.__setattr__(self, "n", int(n))
+        t_end = _checks.non_negative(t_end, "end time")
+        step = _checks.positive(step, "step size")
+        _checks.non_negative(t_end / step, "step count t_end/step")
+        if window is not None:
+            window = _checks.positive(window, "window radius")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "initial", values)
-        object.__setattr__(self, "leader_gain", float(leader_gain))
-        object.__setattr__(self, "t_end", float(t_end))
-        object.__setattr__(self, "step", float(step))
-        object.__setattr__(self, "leader_multiplier", float(leader_multiplier))
-        object.__setattr__(self, "window", None if window is None else float(window))
+        object.__setattr__(self, "leader_gain", _checks.non_negative(leader_gain, "leader gain"))
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "leader_multiplier", _checks.positive(leader_multiplier, "leader multiplier"))
+        object.__setattr__(self, "window", window)
 
 
 def _field(config: DynamicsConfig, state: np.ndarray) -> np.ndarray:
@@ -142,7 +135,6 @@ def integrate(config: DynamicsConfig) -> Trajectory:
     """
     h = config.step
     steps = int(round(config.t_end / h))
-    rule = MajorityRule.FAIL if config.n % 2 == 1 else MajorityRule.FAIR_COIN
 
     y = np.asarray(config.initial, dtype=float)
     times = [0.0]
@@ -163,7 +155,7 @@ def integrate(config: DynamicsConfig) -> Trajectory:
         states.append(tuple(float(x) for x in y))
 
     group = tuple(
-        majority_prob_heterogeneous(CompetenceVector(s), rule) for s in states
+        majority_prob_heterogeneous(CompetenceVector(s), MajorityRule.FAIR_COIN) for s in states
     )
     return Trajectory(
         config=config,
@@ -198,8 +190,7 @@ def classify_outcome(traj: Trajectory, tol: float = 0.01) -> Outcome:
     together with gaps <= 2*tol form one cluster; the outcome is consensus
     when every voter ends within tol of 1.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    _checks.positive(tol, "tolerance")
     final = traj.final_state
     speed = max(abs(d) for d in derivative_field(traj.config, final))
     if speed >= tol:

@@ -24,7 +24,7 @@ from .csvio import CsvTable
 from .dynamics import integrate, load_scenario, trajectory_table
 from .errors import DomainError
 from .profiles import LinearProfile, PlateauProfile, PowerProfile
-from .tradeoff import cost_curve, critical_group_rate
+from .tradeoff import cost_curve, critical_group_rate, fixed_budget_compare
 from .votemath import majority_prob_homogeneous
 
 __all__ = ["FIGURE_IDS", "figure_table"]
@@ -47,14 +47,9 @@ def _figure_probability_curves() -> CsvTable:
 
 
 def _fixed_budget_table(group_rates: tuple[float, ...], t_max: float) -> CsvTable:
-    single = LinearProfile(1.0)
+    sweeps = [fixed_budget_compare(1.0, c, 3, _grid(t_max)) for c in group_rates]
     header = ("T", "P1") + tuple(f"P3_c{c}" for c in group_rates)
-    rows = []
-    for t in _grid(t_max):
-        row = [t, single.evaluate(t)]
-        for c in group_rates:
-            row.append(majority_prob_homogeneous(3, LinearProfile(c).evaluate(t / 3)))
-        rows.append(tuple(row))
+    rows = [row[0][:2] + tuple(r[2] for r in row) for row in zip(*sweeps)]
     return CsvTable(header, rows)
 
 

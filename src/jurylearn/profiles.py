@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
+from . import _checks
 from .errors import DomainError, UnattainableTargetError
 from .votemath import MajorityRule, majority_prob_homogeneous
 
@@ -36,13 +37,6 @@ __all__ = [
 ]
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"time must be non-negative, got {t!r}")
-    return t
-
-
 @dataclass(frozen=True)
 class LinearProfile:
     """p(t) = min(1/2 + rate*t, 1)."""
@@ -50,20 +44,18 @@ class LinearProfile:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError(f"learning rate must be positive, got {self.rate!r}")
+        _checks.positive(self.rate, "learning rate")
 
     @property
     def sup_competence(self) -> float:
         return 1.0
 
     def evaluate(self, t: float) -> float:
-        return min(0.5 + self.rate * _check_time(t), 1.0)
+        return min(0.5 + self.rate * _checks.non_negative(t, "time"), 1.0)
 
     def time_to_reach(self, target: float) -> float:
         """Smallest t with p(t) = target, for target in [1/2, 1]."""
-        if not 0.5 <= target <= 1.0:
-            raise DomainError(f"target competence must lie in [1/2, 1], got {target!r}")
+        target = _checks.within(target, "target competence", 0.5, 1.0)
         return (target - 0.5) / self.rate
 
 
@@ -74,19 +66,17 @@ class PowerProfile:
     exponent: float
 
     def __post_init__(self):
-        if not self.exponent > 0.0:
-            raise DomainError(f"exponent must be positive, got {self.exponent!r}")
+        _checks.positive(self.exponent, "exponent")
 
     @property
     def sup_competence(self) -> float:
         return 1.0
 
     def evaluate(self, t: float) -> float:
-        return min(0.5 + _check_time(t) ** self.exponent, 1.0)
+        return min(0.5 + _checks.non_negative(t, "time") ** self.exponent, 1.0)
 
     def time_to_reach(self, target: float) -> float:
-        if not 0.5 <= target <= 1.0:
-            raise DomainError(f"target competence must lie in [1/2, 1], got {target!r}")
+        target = _checks.within(target, "target competence", 0.5, 1.0)
         return (target - 0.5) ** (1.0 / self.exponent)
 
 
@@ -98,21 +88,18 @@ class PlateauProfile:
     cap: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError(f"learning rate must be positive, got {self.rate!r}")
-        if not 0.5 <= self.cap <= 1.0:
-            raise DomainError(f"cap must lie in [1/2, 1], got {self.cap!r}")
+        _checks.positive(self.rate, "learning rate")
+        _checks.within(self.cap, "cap", 0.5, 1.0)
 
     @property
     def sup_competence(self) -> float:
         return self.cap
 
     def evaluate(self, t: float) -> float:
-        return min(0.5 + self.rate * _check_time(t), self.cap)
+        return min(0.5 + self.rate * _checks.non_negative(t, "time"), self.cap)
 
     def time_to_reach(self, target: float) -> float:
-        if not 0.5 <= target <= 1.0:
-            raise DomainError(f"target competence must lie in [1/2, 1], got {target!r}")
+        target = _checks.within(target, "target competence", 0.5, 1.0)
         if target > self.cap:
             raise UnattainableTargetError(
                 f"profile is capped at {self.cap}, cannot reach {target}"
@@ -137,10 +124,8 @@ class TimeAllocation:
     rule: AllocationRule = AllocationRule.EQUAL_SPLIT
 
     def __post_init__(self):
-        if self.total_time < 0.0:
-            raise DomainError(f"total time must be non-negative, got {self.total_time!r}")
-        if self.group_size < 1 or self.group_size != int(self.group_size):
-            raise DomainError(f"group size must be a positive integer, got {self.group_size!r}")
+        _checks.non_negative(self.total_time, "total time")
+        _checks.count(self.group_size, "group size")
 
     @property
     def per_voter_time(self) -> float:
@@ -167,14 +152,9 @@ def competence_curve(
     rule: MajorityRule = MajorityRule.FAIL,
 ) -> list[tuple[float, float]]:
     """Group competence sampled along an ascending grid of total times."""
-    grid = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in grid):
-        raise DomainError("time grid must be non-negative")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise DomainError("time grid must be sorted ascending")
     return [
         (t, group_competence(profile, TimeAllocation(t, n, alloc_rule), rule))
-        for t in grid
+        for t in _checks.time_grid(t_grid)
     ]
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
+from . import _checks
 from .errors import DomainError, UnattainableTargetError
 from .profiles import AllocationRule, LearningProfile, LinearProfile
 from .votemath import MajorityRule, derivative_at_half, majority_prob_homogeneous
@@ -39,21 +40,15 @@ __all__ = [
 ]
 
 
-def _check_odd(n: int) -> int:
-    if n < 1 or n % 2 == 0:
-        raise DomainError(f"defined for odd group sizes only, got {n!r}")
-    return int(n)
-
-
 def critical_group_rate(n: int) -> Fraction:
     """Exact rational rate from which a group of n can beat a unit-rate single voter."""
-    n = _check_odd(n)
+    n = _checks.count(n, "group size", odd=True)
     return Fraction(2 ** (n - 1), math.comb(n - 1, (n - 1) // 2))
 
 
 def expert_threshold(n: int) -> Fraction:
     """Exact rational rate from which one expert beats n unit-rate voters."""
-    return derivative_at_half(_check_odd(n))
+    return derivative_at_half(n)
 
 
 class AsymptoticCheck(NamedTuple):
@@ -69,7 +64,6 @@ def asymptotic_rate_check(n: int, kind: str = "expert") -> AsymptoticCheck:
     and shrinks monotonically) or ``critical`` (asymptote sqrt(n*pi/2); the
     exact value sits below the asymptote, so the gap is negative).
     """
-    n = _check_odd(n)
     if kind == "expert":
         exact = float(expert_threshold(n))
         asymptote = math.sqrt(2.0 * n / math.pi)
@@ -79,15 +73,6 @@ def asymptotic_rate_check(n: int, kind: str = "expert") -> AsymptoticCheck:
     else:
         raise DomainError(f"kind must be 'expert' or 'critical', got {kind!r}")
     return AsymptoticCheck(exact, asymptote, exact / asymptote - 1.0)
-
-
-def _check_grid(t_grid: Sequence[float]) -> list[float]:
-    grid = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in grid):
-        raise DomainError("time grid must be non-negative")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise DomainError("time grid must be sorted ascending")
-    return grid
 
 
 def fixed_budget_compare(
@@ -102,12 +87,11 @@ def fixed_budget_compare(
     The single voter learns linearly at ``c_single`` for the full time T;
     each of the n group members learns at ``c_group`` for T/n.
     """
-    if n < 3 or n % 2 == 0:
-        raise DomainError(f"group size must be an odd integer >= 3, got {n!r}")
+    n = _checks.count(n, "group size", minimum=3, odd=True)
     single = LinearProfile(c_single)
     group = LinearProfile(c_group)
     rows = []
-    for t in _check_grid(t_grid):
+    for t in _checks.time_grid(t_grid):
         p_single = single.evaluate(t)
         p_group = majority_prob_homogeneous(n, group.evaluate(t / n), rule)
         rows.append((t, p_single, p_group))
@@ -116,9 +100,8 @@ def fixed_budget_compare(
 
 def initial_slope(n: int, c: float, alloc_rule: AllocationRule) -> float:
     """d/dT of the group-competence curve at T = 0 for a linear profile of rate c."""
-    n = _check_odd(n)
-    if not c > 0.0:
-        raise DomainError(f"learning rate must be positive, got {c!r}")
+    n = _checks.count(n, "group size", odd=True)
+    _checks.positive(c, "learning rate")
     factor = c / n if alloc_rule is AllocationRule.EQUAL_SPLIT else c
     return factor * float(derivative_at_half(n))
 
@@ -132,8 +115,7 @@ class CostQuery:
     profile: LearningProfile
 
     def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise DomainError(f"group size must be odd, got {self.n!r}")
+        _checks.count(self.n, "group size", odd=True)
         if not 0.5 < self.target < 1.0:
             raise DomainError(
                 f"target competence must lie strictly between 1/2 and 1, got {self.target!r}"
@@ -168,7 +150,7 @@ def cost_to_reach(q: CostQuery) -> CostResult:
         )
     p_star = min(_invert_majority(q.n, q.target), q.profile.sup_competence)
     t_star = q.profile.time_to_reach(p_star)
-    return CostResult(t_star, q.n * t_star)
+    return CostResult(t_star, _checks.non_negative(q.n * t_star, "cost"))
 
 
 def cost_curve(

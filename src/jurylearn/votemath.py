@@ -19,6 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from . import _checks
 from .errors import DomainError, TieRuleRequiredError
 
 __all__ = [
@@ -47,13 +48,6 @@ class MajorityRule(Enum):
     FAIL = "fail"
 
 
-def _check_prob(value: float, name: str) -> float:
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class CompetenceVector:
     """Per-voter correctness probabilities ``(p_1, ..., p_n)``, n >= 1."""
@@ -61,7 +55,7 @@ class CompetenceVector:
     probs: tuple[float, ...]
 
     def __init__(self, probs: Iterable[float]):
-        values = tuple(_check_prob(p, "competence") for p in probs)
+        values = tuple(_checks.within(p, "competence") for p in probs)
         if not values:
             raise DomainError("a jury needs at least one voter")
         object.__setattr__(self, "probs", values)
@@ -116,17 +110,20 @@ def vote_distribution(p: CompetenceVector) -> VoteDistribution:
     return VoteDistribution(_pmf(p.probs))
 
 
+def _check_tie_rule(n: int, rule: MajorityRule) -> None:
+    if n % 2 == 0 and rule is MajorityRule.FAIL:
+        raise TieRuleRequiredError(
+            f"group size {n} is even; choose a tie rule such as FAIR_COIN"
+        )
+
+
 def _tail_from_mass(mass: Sequence[float], n: int, rule: MajorityRule) -> float:
     # Computed as 1 minus the failure mass so that juries containing a
     # guaranteed majority of certain voters evaluate to exactly 1.0.
-    if n % 2 == 1:
-        fail = math.fsum(mass[: (n + 1) // 2])
-    else:
-        if rule is MajorityRule.FAIL:
-            raise TieRuleRequiredError(
-                f"group size {n} is even; choose a tie rule such as FAIR_COIN"
-            )
-        fail = math.fsum(mass[: n // 2]) + 0.5 * mass[n // 2]
+    _check_tie_rule(n, rule)
+    fail = math.fsum(mass[: (n + 1) // 2])
+    if n % 2 == 0:
+        fail += 0.5 * mass[n // 2]
     return min(max(1.0 - fail, 0.0), 1.0)
 
 
@@ -139,15 +136,10 @@ def majority_prob_homogeneous(
     error at the accumulated-rounding level (<= 1e-12 for n <= 201) even
     for very small tail probabilities.
     """
-    if n < 1 or n != int(n):
-        raise DomainError(f"group size must be a positive integer, got {n!r}")
-    n = int(n)
-    p = _check_prob(p, "competence")
+    n = _checks.count(n, "group size")
+    p = _checks.within(p, "competence")
     q = 1.0 - p
-    if n % 2 == 0 and rule is MajorityRule.FAIL:
-        raise TieRuleRequiredError(
-            f"group size {n} is even; choose a tie rule such as FAIR_COIN"
-        )
+    _check_tie_rule(n, rule)
     threshold = n // 2 + 1
     terms = [math.comb(n, k) * p**k * q ** (n - k) for k in range(threshold, n + 1)]
     total = math.fsum(terms)
@@ -174,8 +166,7 @@ def derivative_at_half(n: int) -> Fraction:
 
     Equals ``n * C(n-1, (n-1)/2) / 2^(n-1)``; grows like sqrt(2n/pi).
     """
-    if n < 1 or n % 2 == 0:
-        raise DomainError(f"defined for odd group sizes only, got {n!r}")
+    n = _checks.count(n, "group size", odd=True)
     return Fraction(n * math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))
 
 
@@ -188,10 +179,8 @@ def hoeffding_extremal(n: int, pbar: float) -> CompetenceVector:
     correctly with probability exactly 1; below that mean the composition
     is generally not optimal.
     """
-    if n < 1 or n != int(n):
-        raise DomainError(f"group size must be a positive integer, got {n!r}")
-    n = int(n)
-    pbar = _check_prob(pbar, "mean competence")
+    n = _checks.count(n, "group size")
+    pbar = _checks.within(pbar, "mean competence")
     total = pbar * n
     ones = min(int(math.floor(total)), n)
     frac = max(total - ones, 0.0)
@@ -226,10 +215,7 @@ def concentration_failure_bound(n: int, pbar: float) -> float:
     inequality sharpens it to 2t^2/n, so this bound is valid but loose.
     For pbar = 1/2 + w/sqrt(n) it equals 2*exp(-w^2).
     """
-    if n < 1 or n != int(n):
-        raise DomainError(f"group size must be a positive integer, got {n!r}")
-    pbar = _check_prob(pbar, "mean competence")
-    if pbar < 0.5:
-        raise DomainError(f"bound requires mean competence >= 1/2, got {pbar!r}")
+    n = _checks.count(n, "group size")
+    pbar = _checks.within(pbar, "mean competence", 0.5, 1.0)
     d = n * (pbar - 0.5)
     return 2.0 * math.exp(-(d * d) / n)

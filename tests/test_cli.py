@@ -1,5 +1,6 @@
 """Command-line surface: values, exit codes, CSV round trips, determinism."""
 
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -180,6 +181,12 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "majority", "--n", "3", "--p", "1.5")
         assert code == 1 and out == "" and "error:" in err
 
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "table.csv"
+        code, out, err = invoke(capsys, "rates", "critical", "--n-max", "5", "--out", str(dest))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "jurylearn", "majority", "--n", "3", "--p", "0.6"],
@@ -203,11 +210,25 @@ class TestFigures:
     def test_figure_invalid_id(self, capsys):
         assert invoke(capsys, "figure", "--id", "9")[0] == 2
 
-    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4, 5, 6, 7, 8])
-    def test_figures_deterministic(self, capsys, fig_id):
+    @pytest.mark.parametrize(
+        "fig_id, sha256",
+        [
+            (1, "b42ae79a85af4ab5fbdc2de1e1155c210cb38ec61176b62915c1d0fcbc3f56c5"),
+            (2, "035bd5892cbe278be0c0835ca5df4474f3422e3b4eaa7584b68a2344166bfa01"),
+            (3, "303103a5d35e8551e0eaba17b394a8f4a50520d9a5cf2dad4c3fba02bd4a3a44"),
+            (4, "80429425db14aa1dc2aabcf55dc129de0c1647dcf4582f530ac6746a1c4a580e"),
+            (5, "f3f6cd594a0884fdb5976352cb821dfe18471bfe344fac5289ff5443a904bda2"),
+            (6, "15b19bdc15464a4e035f7dfac9643ed73644abd5790f8d760e9a5f5e39b25c06"),
+            (7, "e8be5009db570fb2dd58a9031f302df15d3272f8efa761524f1f163ca1b89f46"),
+            (8, "b37ea8053b4b72663c5358e953454d3defc0dfefcdfae6942dba899d2d00c48e"),
+        ],
+        ids=[str(fig_id) for fig_id in range(1, 9)],
+    )
+    def test_figures_deterministic(self, capsys, fig_id, sha256):
         _, first, _ = invoke(capsys, "figure", "--id", str(fig_id))
         _, second, _ = invoke(capsys, "figure", "--id", str(fig_id))
         assert first == second and first
+        assert hashlib.sha256(first.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("fig_id", [1, 4, 6, 7, 8])
     def test_figure_round_trip(self, capsys, fig_id):
