@@ -31,8 +31,8 @@ from .csvio import CsvTable
 from .dynamics import integrate, load_scenario, parse_dynamics_config, trajectory_table
 from .errors import DomainError, IntegrationFailureError, NotConvergedError
 from .figures import FIGURE_IDS, figure_table
-from .profiles import parse_profile
-from .tradeoff import CostQuery, asymptotic_rate_check, cost_to_reach, critical_group_rate, expert_threshold, fixed_budget_compare
+from .profiles import parse_profile, uniform_grid
+from .tradeoff import asymptotic_rate_check, cost_curve, critical_group_rate, expert_threshold, fixed_budget_compare
 from .votemath import (
     CompetenceVector,
     MajorityRule,
@@ -123,9 +123,7 @@ def _cmd_rates(args) -> str:
 
 
 def _cmd_tradeoff(args) -> str:
-    points = _checks.count(args.points, "--points", minimum=2)
-    grid = [args.t_max * i / (points - 1) for i in range(points)]
-    rows = fixed_budget_compare(args.c1, args.cg, args.n, grid)
+    rows = fixed_budget_compare(args.c1, args.cg, args.n, uniform_grid(args.t_max, args.points))
     return CsvTable(("T", "P_single", "P_group"), rows).render()
 
 
@@ -135,11 +133,7 @@ def _cmd_cost(args) -> str:
         ns = [int(x) for x in args.n_list.split(",")]
     except ValueError:
         raise DomainError(f"expected comma-separated integers, got {args.n_list!r}") from None
-    rows = []
-    for n in ns:
-        result = cost_to_reach(CostQuery(n=n, target=args.pstar, profile=profile))
-        rows.append((n, result.cost))
-    return CsvTable(("n", "cost"), rows).render()
+    return CsvTable(("n", "cost"), cost_curve(args.pstar, ns, lambda n: profile)).render()
 
 
 def _cmd_simulate(args) -> str:

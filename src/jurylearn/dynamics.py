@@ -52,6 +52,9 @@ __all__ = [
     "trajectory_table",
 ]
 
+# Ceiling on t_end/step (integrate keeps every state); bundled scenarios take <= 8,000.
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
@@ -79,7 +82,7 @@ class DynamicsConfig:
             raise DomainError(f"expected {n} initial competences, got {len(values)}")
         t_end = _checks.non_negative(t_end, "end time")
         step = _checks.positive(step, "step size")
-        _checks.non_negative(t_end / step, "step count t_end/step")
+        _checks.within(t_end / step, "step count t_end/step", 0.0, MAX_STEPS)
         if window is not None:
             window = _checks.positive(window, "window radius")
         object.__setattr__(self, "n", n)

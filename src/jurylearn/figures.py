@@ -23,7 +23,8 @@ from __future__ import annotations
 from .csvio import CsvTable
 from .dynamics import integrate, load_scenario, trajectory_table
 from .errors import DomainError
-from .profiles import LinearProfile, PlateauProfile, PowerProfile
+from .profiles import AllocationRule, LearningProfile, LinearProfile, PlateauProfile, PowerProfile
+from .profiles import competence_curve, uniform_grid
 from .tradeoff import cost_curve, critical_group_rate, fixed_budget_compare
 from .votemath import majority_prob_homogeneous
 
@@ -32,22 +33,19 @@ __all__ = ["FIGURE_IDS", "figure_table"]
 GRID_POINTS = 512
 
 
-def _grid(t_max: float, points: int = GRID_POINTS) -> list[float]:
-    return [t_max * i / (points - 1) for i in range(points)]
-
-
 def _figure_probability_curves() -> CsvTable:
     sizes = (1, 3, 5, 7, 91)
     header = ("p",) + tuple(f"P_{n}" for n in sizes)
     rows = []
-    for i in range(GRID_POINTS):
-        p = 0.5 + 0.5 * i / (GRID_POINTS - 1)
+    for x in uniform_grid(0.5, GRID_POINTS):
+        p = 0.5 + x
         rows.append((p,) + tuple(majority_prob_homogeneous(n, p) for n in sizes))
     return CsvTable(header, rows)
 
 
 def _fixed_budget_table(group_rates: tuple[float, ...], t_max: float) -> CsvTable:
-    sweeps = [fixed_budget_compare(1.0, c, 3, _grid(t_max)) for c in group_rates]
+    grid = uniform_grid(t_max, GRID_POINTS)
+    sweeps = [fixed_budget_compare(1.0, c, 3, grid) for c in group_rates]
     header = ("T", "P1") + tuple(f"P3_c{c}" for c in group_rates)
     rows = [row[0][:2] + tuple(r[2] for r in row) for row in zip(*sweeps)]
     return CsvTable(header, rows)
@@ -56,50 +54,27 @@ def _fixed_budget_table(group_rates: tuple[float, ...], t_max: float) -> CsvTabl
 def _figure_cost_regimes() -> CsvTable:
     ns = list(range(1, 43, 2))
     sweeps = {
-        "cost_rate1": lambda n: 1.0,
-        "cost_critical": lambda n: float(critical_group_rate(n)),
-        "cost_2x_critical": lambda n: 2.0 * float(critical_group_rate(n)),
+        "cost_rate1": lambda n: LinearProfile(1.0),
+        "cost_critical": lambda n: LinearProfile(float(critical_group_rate(n))),
+        "cost_2x_critical": lambda n: LinearProfile(2.0 * float(critical_group_rate(n))),
     }
-    columns = {name: dict(cost_curve(0.8, ns, rule)) for name, rule in sweeps.items()}
+    columns = {name: dict(cost_curve(0.8, ns, profile_for)) for name, profile_for in sweeps.items()}
     header = ("n",) + tuple(sweeps)
     rows = [(n,) + tuple(columns[name][n] for name in sweeps) for n in ns]
     return CsvTable(header, rows)
 
 
-def _figure_power_profiles() -> CsvTable:
-    single = LinearProfile(1.0)
-    concave = PowerProfile(0.55)
-    convex = PowerProfile(2.0)
-    header = ("T", "P1", "p3_concave", "P3_concave", "p3_convex", "P3_convex")
-    rows = []
-    for t in _grid(1.2):
-        rows.append(
-            (
-                t,
-                single.evaluate(t),
-                concave.evaluate(t / 3),
-                majority_prob_homogeneous(3, concave.evaluate(t / 3)),
-                convex.evaluate(t / 3),
-                majority_prob_homogeneous(3, convex.evaluate(t / 3)),
-            )
-        )
-    return CsvTable(header, rows)
-
-
-def _figure_plateau() -> CsvTable:
-    profile = PlateauProfile(rate=1.0, cap=2.0 / 3.0)
-    header = ("T", "P1", "p3", "P3")
-    rows = []
-    for t in _grid(1.0):
-        rows.append(
-            (
-                t,
-                profile.evaluate(t),
-                profile.evaluate(t / 3),
-                majority_prob_homogeneous(3, profile.evaluate(t / 3)),
-            )
-        )
-    return CsvTable(header, rows)
+def _profile_table(single: LearningProfile, groups: dict[str, LearningProfile], t_max: float) -> CsvTable:
+    """T, P1 for one voter on ``single``, then p3<suffix>, P3<suffix> for three sharing T."""
+    grid = uniform_grid(t_max, GRID_POINTS)
+    split = AllocationRule.EQUAL_SPLIT
+    header = ["T", "P1"]
+    columns = [[single.evaluate(t) for t in grid]]
+    for suffix, profile in groups.items():
+        header += [f"p3{suffix}", f"P3{suffix}"]
+        columns.append([profile.evaluate(split.per_voter_time(t, 3)) for t in grid])
+        columns.append([p for _, p in competence_curve(profile, 3, split, grid)])
+    return CsvTable(tuple(header), list(zip(grid, *columns)))
 
 
 def _figure_mean_drift() -> CsvTable:
@@ -128,13 +103,17 @@ def _figure_windowed() -> CsvTable:
     return CsvTable(tuple(header), rows)
 
 
+_PLATEAU = PlateauProfile(rate=1.0, cap=2.0 / 3.0)
+
 _BUILDERS = {
     1: _figure_probability_curves,
     2: lambda: _fixed_budget_table((1.0, 2.0), t_max=1.6),
     3: lambda: _fixed_budget_table((2.25, 3.0), t_max=1.0),
     4: _figure_cost_regimes,
-    5: _figure_power_profiles,
-    6: _figure_plateau,
+    5: lambda: _profile_table(
+        LinearProfile(1.0), {"_concave": PowerProfile(0.55), "_convex": PowerProfile(2.0)}, t_max=1.2
+    ),
+    6: lambda: _profile_table(_PLATEAU, {"": _PLATEAU}, t_max=1.0),
     7: _figure_mean_drift,
     8: _figure_windowed,
 }

@@ -32,6 +32,7 @@ __all__ = [
     "TimeAllocation",
     "group_competence",
     "competence_curve",
+    "uniform_grid",
     "parse_profile",
     "format_profile",
 ]
@@ -73,7 +74,9 @@ class PowerProfile:
         return 1.0
 
     def evaluate(self, t: float) -> float:
-        return min(0.5 + _checks.non_negative(t, "time") ** self.exponent, 1.0)
+        t = _checks.non_negative(t, "time")
+        # t >= 1 gives t**exponent >= 1, so p = 1 without the power (which can overflow)
+        return 1.0 if t >= 1.0 else min(0.5 + t**self.exponent, 1.0)
 
     def time_to_reach(self, target: float) -> float:
         target = _checks.within(target, "target competence", 0.5, 1.0)
@@ -116,6 +119,10 @@ class AllocationRule(Enum):
     EQUAL_SPLIT = "equal-split"  # each of n voters studies for T/n
     FULL_TIME = "full-time"      # a fixed deadline: every voter studies for T
 
+    def per_voter_time(self, total: float, n: int) -> float:
+        """Each voter's share of ``total`` in a group of n."""
+        return total / n if self is AllocationRule.EQUAL_SPLIT else total
+
 
 @dataclass(frozen=True)
 class TimeAllocation:
@@ -129,9 +136,7 @@ class TimeAllocation:
 
     @property
     def per_voter_time(self) -> float:
-        if self.rule is AllocationRule.EQUAL_SPLIT:
-            return self.total_time / self.group_size
-        return self.total_time
+        return self.rule.per_voter_time(self.total_time, self.group_size)
 
 
 def group_competence(
@@ -151,11 +156,19 @@ def competence_curve(
     t_grid: Sequence[float],
     rule: MajorityRule = MajorityRule.FAIL,
 ) -> list[tuple[float, float]]:
-    """Group competence sampled along an ascending grid of total times."""
+    """Group competence along an ascending grid of total times, each voter given its share."""
+    grid = _checks.time_grid(t_grid)
+    n = _checks.count(n, "group size")
     return [
-        (t, group_competence(profile, TimeAllocation(t, n, alloc_rule), rule))
-        for t in _checks.time_grid(t_grid)
+        (t, majority_prob_homogeneous(n, profile.evaluate(alloc_rule.per_voter_time(t, n)), rule))
+        for t in grid
     ]
+
+
+def uniform_grid(t_max: float, points: int) -> list[float]:
+    """``points`` equally spaced values from 0 to ``t_max``, both ends included."""
+    points = _checks.count(points, "points", minimum=2)
+    return [t_max * i / (points - 1) for i in range(points)]
 
 
 def format_profile(profile: LearningProfile) -> str:

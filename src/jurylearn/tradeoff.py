@@ -10,9 +10,10 @@ the slope of the majority-probability curve at p = 1/2:
   unit-rate voters under a common deadline, equal to the slope itself
   (grows like sqrt(2n/pi)).
 
-Their product is exactly n.  The cost analysis inverts the majority curve
-by bisection (guaranteed convergence on a monotone function) and then
-inverts the learning profile in closed form.
+Their product is exactly n.  ``fixed_budget_compare`` reads its group column
+off ``profiles.competence_curve``.  The cost analysis inverts the majority
+curve by bisection (guaranteed convergence on a monotone function), then the
+learning profile in closed form; ``cost_curve`` sweeps it over group sizes.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import _checks
 from .errors import DomainError, UnattainableTargetError
-from .profiles import AllocationRule, LearningProfile, LinearProfile
-from .votemath import MajorityRule, derivative_at_half, majority_prob_homogeneous
+from .profiles import AllocationRule, LearningProfile, LinearProfile, competence_curve
+from .votemath import derivative_at_half, majority_prob_homogeneous
 
 __all__ = [
     "critical_group_rate",
@@ -80,7 +81,6 @@ def fixed_budget_compare(
     c_group: float,
     n: int,
     t_grid: Sequence[float],
-    rule: MajorityRule = MajorityRule.FAIL,
 ) -> list[tuple[float, float, float]]:
     """(T, P_single, P_group) rows for one voter with the whole budget vs n sharing it.
 
@@ -89,21 +89,16 @@ def fixed_budget_compare(
     """
     n = _checks.count(n, "group size", minimum=3, odd=True)
     single = LinearProfile(c_single)
-    group = LinearProfile(c_group)
-    rows = []
-    for t in _checks.time_grid(t_grid):
-        p_single = single.evaluate(t)
-        p_group = majority_prob_homogeneous(n, group.evaluate(t / n), rule)
-        rows.append((t, p_single, p_group))
-    return rows
+    group = competence_curve(LinearProfile(c_group), n, AllocationRule.EQUAL_SPLIT, t_grid)
+    return [(t, single.evaluate(t), p_group) for t, p_group in group]
 
 
 def initial_slope(n: int, c: float, alloc_rule: AllocationRule) -> float:
     """d/dT of the group-competence curve at T = 0 for a linear profile of rate c."""
     n = _checks.count(n, "group size", odd=True)
     _checks.positive(c, "learning rate")
-    factor = c / n if alloc_rule is AllocationRule.EQUAL_SPLIT else c
-    return factor * float(derivative_at_half(n))
+    # a voter's clock runs at its share of the total time, so its rate c is shared alike
+    return alloc_rule.per_voter_time(c, n) * float(derivative_at_half(n))
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,7 @@ class CostQuery:
     profile: LearningProfile
 
     def __post_init__(self):
-        _checks.count(self.n, "group size", odd=True)
+        object.__setattr__(self, "n", _checks.count(self.n, "group size", odd=True))
         if not 0.5 < self.target < 1.0:
             raise DomainError(
                 f"target competence must lie strictly between 1/2 and 1, got {self.target!r}"
@@ -156,16 +151,16 @@ def cost_to_reach(q: CostQuery) -> CostResult:
 def cost_curve(
     p_star: float,
     n_list: Sequence[int],
-    rate_rule: Callable[[int], float],
+    profile_for: Callable[[int], LearningProfile],
 ) -> list[tuple[int, float]]:
-    """Cost of reaching group competence ``p_star`` for each n, with per-n linear rates.
+    """(n, cost) rows: the cost of reaching group competence ``p_star`` for each n.
 
-    ``rate_rule`` maps a group size to its learning rate, so sub-critical,
-    critical and super-critical rate schedules can be swept with one call.
+    ``profile_for`` maps a group size to its members' learning profile, so one
+    call sweeps a fixed profile (``lambda n: profile``) as well as per-n rate
+    schedules such as ``lambda n: LinearProfile(float(critical_group_rate(n)))``.
     """
     rows = []
     for n in n_list:
-        profile = LinearProfile(float(rate_rule(n)))
-        result = cost_to_reach(CostQuery(n=n, target=p_star, profile=profile))
-        rows.append((int(n), result.cost))
+        q = CostQuery(n=n, target=p_star, profile=profile_for(n))
+        rows.append((q.n, cost_to_reach(q).cost))
     return rows

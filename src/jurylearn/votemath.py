@@ -78,9 +78,7 @@ class VoteDistribution:
     mass: tuple[float, ...]
 
     def __init__(self, mass: Iterable[float]):
-        values = tuple(float(m) for m in mass)
-        if any(m < 0.0 for m in values):
-            raise DomainError("probability masses must be non-negative")
+        values = tuple(_checks.non_negative(m, "probability mass") for m in mass)
         total = math.fsum(values)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"masses must sum to 1 within 1e-12, got {total!r}")

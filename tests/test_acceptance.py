@@ -152,13 +152,13 @@ def test_criterion_06_fixed_budget_orderings():
 
 def test_criterion_07_cost_regimes():
     ns = list(range(1, 43, 2))
-    sub = [c for _, c in cost_curve(0.8, ns, lambda n: 1.0)]
+    sub = [c for _, c in cost_curve(0.8, ns, lambda n: LinearProfile(1.0))]
     increasing = all(b > a for a, b in zip(sub, sub[1:]))
-    crit = [c for _, c in cost_curve(0.8, ns, lambda n: float(critical_group_rate(n)))]
+    crit = [c for _, c in cost_curve(0.8, ns, lambda n: LinearProfile(float(critical_group_rate(n))))]
     converging = abs(crit[-1] - crit[-2]) < abs(crit[2] - crit[1])
-    superc = [c for _, c in cost_curve(0.8, ns, lambda n: float(n))]
+    superc = [c for _, c in cost_curve(0.8, ns, lambda n: LinearProfile(float(n)))]
     decreasing = all(b < a for a, b in zip(superc, superc[1:]))
-    twice = [c for _, c in cost_curve(0.8, ns, lambda n: 2.0 * float(critical_group_rate(n)))]
+    twice = [c for _, c in cost_curve(0.8, ns, lambda n: LinearProfile(2.0 * float(critical_group_rate(n))))]
     halved = all(math.isclose(t, c / 2, rel_tol=1e-12, abs_tol=0.0) for t, c in zip(twice, crit))
     twice_rising = all(b > a for a, b in zip(twice, twice[1:]))
     detail = (

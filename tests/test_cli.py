@@ -240,17 +240,42 @@ class TestFigures:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "argv",
-        [
+    # (argv, SHA-256 of stdout): the digests pin every byte of the tables
+    # built by the fixed-budget and cost sweeps.
+    CASES = [
+        (
             ("rates", "critical", "--n-max", "21"),
+            "780ac8d56105d27f9d673296e0ae061a69cb032f857a7ad9c62107a1d024d974",
+        ),
+        (
             ("rates", "expert", "--n-max", "21"),
+            "777fa9ee3671e96fe511c1d934c82324085d720e93b45d7f445b17edba6e49a4",
+        ),
+        (
             ("tradeoff", "--c1", "1", "--cg", "2.5", "--n", "3", "--t-max", "1.5", "--points", "64"),
+            "39254892e2cda3b88af6df6a3f594f80d37804ce5a89f7d50e325ade18750f7d",
+        ),
+        (
             ("cost", "--pstar", "0.8", "--profile", "power:alpha=0.55", "--n-list", "1,3,5,7"),
+            "6d5a591ab91968594642494939d8866f504b8e3bb5d130fc1d43bc09cdfffcd3",
+        ),
+        (
             ("correlate", "--model", "commoncoin:p=0.6,lambda=0.25,n=5", "--trials", "4096", "--seed", "5"),
-        ],
-    )
-    def test_emitted_tables_reparse_exactly(self, capsys, argv):
+            "334bb308ab46a327793a8d7f1ba0a30da1b6cfa3c781fd19f60d41d2c337ee5d",
+        ),
+        (
+            ("cost", "--pstar", "0.8", "--profile", "linear:c=1.0", "--n-list", "1,3,5,7,9,11"),
+            "ff82fa1bc6638f2baf611865413a0fe96152b26888cbb261773a2e0c635ca5c9",
+        ),
+        (
+            ("cost", "--pstar", "0.6", "--profile", "plateau:a=1.0,cap=0.6667", "--n-list", "1,3,5,7"),
+            "7d662178cf27810d0fc51c3c55654a81bbe3c0c5b6a731b082c99bbcbbb3d082",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, sha256", CASES, ids=[f"argv{i}" for i in range(len(CASES))])
+    def test_emitted_tables_reparse_exactly(self, capsys, argv, sha256):
         _, out, _ = invoke(capsys, *argv)
         table = CsvTable.parse(out)
         assert table.render() == out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256

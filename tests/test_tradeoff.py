@@ -196,6 +196,10 @@ class TestCostToReach:
         with pytest.raises(DomainError):
             CostQuery(4, 0.8, LinearProfile(1.0))
 
+    def test_group_size_is_normalised(self):
+        q = CostQuery(3.0, 0.8, LinearProfile(1.0))
+        assert type(q.n) is int and q.n == 3
+
     @given(
         st.integers(0, 6),
         st.floats(0.51, 0.99, allow_nan=False),
@@ -221,12 +225,12 @@ class TestCostCurve:
     NS = list(range(1, 43, 2))
 
     def test_constant_rate_grows_unbounded(self):
-        costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: 1.0)]
+        costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: LinearProfile(1.0))]
         assert all(b > a for a, b in zip(costs, costs[1:]))
         assert costs[-1] > 2.5  # ~ 0.42 * sqrt(n); far above the n=1 cost
 
     def test_critical_rate_converges(self):
-        costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: float(critical_group_rate(n)))]
+        costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: LinearProfile(float(critical_group_rate(n))))]
         assert abs(costs[-1] - costs[-2]) < abs(costs[2] - costs[1])
         assert abs(costs[-1] - costs[-2]) < 1e-4
 
@@ -234,12 +238,12 @@ class TestCostCurve:
         # costs at any constant multiple of the critical rate are the
         # critical-rate costs rescaled, so they converge from below and
         # cannot decrease
-        costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: 2.0 * float(critical_group_rate(n)))]
-        crit = [c for _, c in cost_curve(0.8, self.NS, lambda n: float(critical_group_rate(n)))]
+        costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: LinearProfile(2.0 * float(critical_group_rate(n))))]
+        crit = [c for _, c in cost_curve(0.8, self.NS, lambda n: LinearProfile(float(critical_group_rate(n))))]
         assert costs == pytest.approx([c / 2 for c in crit], rel=1e-9)
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
     def test_supercritical_growth_decreases(self):
         # rates growing faster than the critical schedule push the cost down
-        costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: float(n))]
+        costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: LinearProfile(float(n)))]
         assert all(b < a for a, b in zip(costs, costs[1:]))

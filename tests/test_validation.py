@@ -25,8 +25,10 @@ from jurylearn import (
     Independent,
     PowerProfile,
     TimeAllocation,
+    VoteDistribution,
     critical_group_rate,
     derivative_at_half,
+    group_competence,
     hoeffding_extremal,
     initial_slope,
     integrate,
@@ -60,6 +62,14 @@ def _cost(profile):
     return ("cost", "--pstar", "0.8", "--profile", profile, "--n-list", "3")
 
 
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    # 10^18 RK4 steps: far above the integrator's step ceiling
+    path = tmp_path_factory.mktemp("config") / "huge.cfg"
+    path.write_text("n = 1\ninitial = 0.5\nkappa = 0.1\nt_end = 1e9\nstep = 1e-9\n")
+    return str(path)
+
+
 # A callable must raise DomainError; an argv tuple must exit 1 with empty stdout.
 REJECTED = {
     "critical_group_rate(3.5)": lambda: critical_group_rate(3.5),
@@ -71,6 +81,9 @@ REJECTED = {
     "DynamicsConfig(t_end=1e300, step=1e-10)": lambda: _config(t_end=1e300, step=1e-10),
     "DynamicsConfig(leader_gain=nan)": lambda: _config(leader_gain=NAN),
     "DynamicsConfig(step=inf)": lambda: _config(step=INF),
+    "DynamicsConfig(t_end=1e9, step=1e-9)": lambda: _config(t_end=1e9, step=1e-9),
+    "simulate --config with 1e18 steps": ("simulate", "--config", "{config}"),
+    "VoteDistribution([nan, 1.0])": lambda: VoteDistribution([NAN, 1.0]),
     "PowerProfile(1).evaluate(nan)": lambda: PowerProfile(1).evaluate(NAN),
     "PowerProfile(inf)": lambda: PowerProfile(INF),
     "initial_slope(3, inf)": lambda: initial_slope(3, INF, AllocationRule.EQUAL_SPLIT),
@@ -88,14 +101,20 @@ REJECTED = {
 
 
 @pytest.mark.parametrize("case", REJECTED.values(), ids=REJECTED.keys())
-def test_out_of_domain_input_is_rejected(case):
+def test_out_of_domain_input_is_rejected(config_file, case):
     if callable(case):
         with pytest.raises(DomainError):
             case()
     else:
-        code, out, err = cli(*case)
+        code, out, err = cli(*(arg.replace("{config}", config_file) for arg in case))
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+
+def test_power_profile_saturates_without_overflow():
+    # t**2 overflows a float for t > ~1.3e154; p(t) = 1 for every t >= 1 anyway
+    assert PowerProfile(2).evaluate(1e155) == 1.0
+    assert group_competence(PowerProfile(2.0), TimeAllocation(1e200, 3)) == 1.0
 
 
 def test_sampler_row_blocks_keep_the_stream(monkeypatch):
