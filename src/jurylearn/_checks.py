@@ -1,10 +1,11 @@
 """Domain checks shared by the public entry points.
 
-Each returns its value as ``int`` or ``float`` or raises DomainError; nan and
-+-inf fail every test below.
+Each returns its value as ``int``, ``float`` or an enum member, or raises
+DomainError; nan and +-inf fail every numeric test below.
 """
 
 import math
+from enum import Enum
 from typing import Iterable
 
 from .errors import DomainError
@@ -53,3 +54,13 @@ def time_grid(values: Iterable[float]) -> list[float]:
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("time grid must be sorted ascending")
     return grid
+
+
+def member(value, enum_cls: type[Enum], name: str) -> Enum:
+    """A member of ``enum_cls``, given as the member itself or as its value."""
+    if isinstance(value, enum_cls):  # skips the slower Enum lookup on the hot path
+        return value
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise DomainError(f"{name} must be one of {[m.value for m in enum_cls]}, got {value!r}") from None

@@ -35,7 +35,6 @@ from .profiles import parse_profile, uniform_grid
 from .tradeoff import asymptotic_rate_check, cost_curve, critical_group_rate, expert_threshold, fixed_budget_compare
 from .votemath import (
     CompetenceVector,
-    MajorityRule,
     concentration_failure_bound,
     hoeffding_extremal,
     majorizes,
@@ -59,15 +58,14 @@ def _render_float(x: float) -> str:
 
 
 def _cmd_majority(args) -> str:
-    rule = MajorityRule(args.tie_break)
     if (args.probs is None) == (args.n is None):
         raise DomainError("specify either --n/--p or --probs")
     if args.probs is not None:
-        value = majority_prob_heterogeneous(_parse_probs(args.probs), rule)
+        value = majority_prob_heterogeneous(_parse_probs(args.probs), args.tie_break)
     else:
         if args.p is None:
             raise DomainError("--n requires --p")
-        value = majority_prob_homogeneous(args.n, args.p, rule)
+        value = majority_prob_homogeneous(args.n, args.p, args.tie_break)
     return _render_float(value) + "\n"
 
 

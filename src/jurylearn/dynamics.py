@@ -8,10 +8,11 @@ including themselves, so an isolated voter simply stays put).  The windowed
 variant can fragment the group into clusters that stop improving, which
 caps the group competence below 1.
 
-Integration is classical fixed-step 4th-order Runge-Kutta; a fixed step
-keeps trajectories bit-reproducible.  States are clipped to [0, 1] after
-each step and the number of clipped components is recorded (it stays 0 for
-the global-mean model, whose field points inward).
+Integration is classical fixed-step 4th-order Runge-Kutta over tuples of
+plain floats, each mean a left-to-right sum; a fixed step and a fixed
+summation order keep trajectories bit-reproducible.  States are clipped to
+[0, 1] after each step and the number of clipped components is recorded (it
+stays 0 for the global-mean model, whose field points inward).
 
 The group competence along a trajectory is evaluated per sample with the
 exact majority machinery; even group sizes use the fair-coin tie rule.
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from . import _checks
 from .csvio import CsvTable
@@ -94,25 +93,25 @@ class DynamicsConfig:
         object.__setattr__(self, "window", window)
 
 
-def _field(config: DynamicsConfig, state: np.ndarray) -> np.ndarray:
-    d = np.empty_like(state)
-    d[0] = config.leader_multiplier * config.leader_gain * (1.0 - state[0])
-    if config.window is None:
-        mu = state.mean()
-        d[1:] = mu - state[1:]
-    else:
-        for i in range(1, config.n):
-            nearby = state[np.abs(state - state[i]) <= config.window]
-            d[i] = nearby.mean() - state[i]
-    return d
+def _field(config: DynamicsConfig, state: tuple[float, ...]) -> tuple[float, ...]:
+    window = config.window
+    lead = config.leader_multiplier * config.leader_gain * (1.0 - state[0])
+    if window is None:  # one mean for every follower keeps the global model O(n)
+        mean = sum(state) / len(state)
+        return (lead,) + tuple(mean - x for x in state[1:])
+    d = [lead]
+    for x in state[1:]:
+        nearby = [y for y in state if abs(y - x) <= window]
+        d.append(sum(nearby) / len(nearby) - x)
+    return tuple(d)
 
 
 def derivative_field(config: DynamicsConfig, state: Sequence[float]) -> tuple[float, ...]:
     """Instantaneous competence derivatives at ``state``."""
-    values = np.asarray([float(x) for x in state], dtype=float)
-    if values.shape != (config.n,):
-        raise DomainError(f"expected a state of length {config.n}, got {len(state)}")
-    return tuple(float(d) for d in _field(config, values))
+    values = tuple(_checks.within(x, "competence") for x in state)
+    if len(values) != config.n:
+        raise DomainError(f"expected a state of length {config.n}, got {len(values)}")
+    return _field(config, values)
 
 
 @dataclass(frozen=True)
@@ -139,30 +138,30 @@ def integrate(config: DynamicsConfig) -> Trajectory:
     h = config.step
     steps = int(round(config.t_end / h))
 
-    y = np.asarray(config.initial, dtype=float)
-    times = [0.0]
-    states = [tuple(float(x) for x in y)]
+    y = config.initial
+    states = [y]
     clamp_count = 0
     for k in range(steps):
         k1 = _field(config, y)
-        k2 = _field(config, y + 0.5 * h * k1)
-        k3 = _field(config, y + 0.5 * h * k2)
-        k4 = _field(config, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        k2 = _field(config, tuple(a + 0.5 * h * b for a, b in zip(y, k1)))
+        k3 = _field(config, tuple(a + 0.5 * h * b for a, b in zip(y, k2)))
+        k4 = _field(config, tuple(a + h * b for a, b in zip(y, k3)))
+        y = tuple(
+            a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        )
+        if not all(map(math.isfinite, y)):
             raise IntegrationFailureError(f"non-finite state at t = {(k + 1) * h}")
-        clipped = np.clip(y, 0.0, 1.0)
-        clamp_count += int(np.count_nonzero(clipped != y))
-        y = clipped
-        times.append((k + 1) * h)
-        states.append(tuple(float(x) for x in y))
+        clamp_count += sum(not 0.0 <= x <= 1.0 for x in y)
+        y = tuple(min(max(x, 0.0), 1.0) for x in y)
+        states.append(y)
 
     group = tuple(
         majority_prob_heterogeneous(CompetenceVector(s), MajorityRule.FAIR_COIN) for s in states
     )
     return Trajectory(
         config=config,
-        times=tuple(times),
+        times=tuple(k * h for k in range(steps + 1)),
         states=tuple(states),
         group_curve=group,
         clamp_count=clamp_count,

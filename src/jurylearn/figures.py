@@ -82,25 +82,13 @@ def _figure_mean_drift() -> CsvTable:
 
 
 def _figure_windowed() -> CsvTable:
-    scenarios = {
-        "consensus": "window4-consensus",
-        "lowstart": "window4-lowstart",
-        "fastleader": "window4-fastleader",
-    }
-    trajectories = {tag: integrate(load_scenario(name)) for tag, name in scenarios.items()}
-    first = next(iter(trajectories.values()))
-    header: list[str] = ["t"]
-    for tag, traj in trajectories.items():
-        header.extend(f"{tag}_p{i}" for i in range(1, traj.config.n + 1))
-        header.append(f"{tag}_P_group")
-    rows = []
-    for k, t in enumerate(first.times):
-        row: list[float] = [t]
-        for traj in trajectories.values():
-            row.extend(traj.states[k])
-            row.append(traj.group_curve[k])
-        rows.append(tuple(row))
-    return CsvTable(tuple(header), rows)
+    tags = ("consensus", "lowstart", "fastleader")
+    tables = [trajectory_table(integrate(load_scenario(f"window4-{tag}"))) for tag in tags]
+    header = tables[0].header[:1] + tuple(
+        f"{tag}_{column}" for tag, table in zip(tags, tables) for column in table.header[1:]
+    )
+    rows = zip(*(table.rows for table in tables), strict=True)
+    return CsvTable(header, (row[0][:1] + tuple(cell for r in row for cell in r[1:]) for row in rows))
 
 
 _PLATEAU = PlateauProfile(rate=1.0, cap=2.0 / 3.0)

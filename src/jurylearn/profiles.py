@@ -132,7 +132,8 @@ class TimeAllocation:
 
     def __post_init__(self):
         _checks.non_negative(self.total_time, "total time")
-        _checks.count(self.group_size, "group size")
+        object.__setattr__(self, "group_size", _checks.count(self.group_size, "group size"))
+        object.__setattr__(self, "rule", _checks.member(self.rule, AllocationRule, "allocation rule"))
 
     @property
     def per_voter_time(self) -> float:
@@ -159,6 +160,7 @@ def competence_curve(
     """Group competence along an ascending grid of total times, each voter given its share."""
     grid = _checks.time_grid(t_grid)
     n = _checks.count(n, "group size")
+    alloc_rule = _checks.member(alloc_rule, AllocationRule, "allocation rule")
     return [
         (t, majority_prob_homogeneous(n, profile.evaluate(alloc_rule.per_voter_time(t, n)), rule))
         for t in grid

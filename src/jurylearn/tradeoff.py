@@ -97,6 +97,7 @@ def initial_slope(n: int, c: float, alloc_rule: AllocationRule) -> float:
     """d/dT of the group-competence curve at T = 0 for a linear profile of rate c."""
     n = _checks.count(n, "group size", odd=True)
     _checks.positive(c, "learning rate")
+    alloc_rule = _checks.member(alloc_rule, AllocationRule, "allocation rule")
     # a voter's clock runs at its share of the total time, so its rate c is shared alike
     return alloc_rule.per_voter_time(c, n) * float(derivative_at_half(n))
 

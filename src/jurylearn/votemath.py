@@ -109,16 +109,16 @@ def vote_distribution(p: CompetenceVector) -> VoteDistribution:
 
 
 def _check_tie_rule(n: int, rule: MajorityRule) -> None:
+    rule = _checks.member(rule, MajorityRule, "tie rule")
     if n % 2 == 0 and rule is MajorityRule.FAIL:
         raise TieRuleRequiredError(
             f"group size {n} is even; choose a tie rule such as FAIR_COIN"
         )
 
 
-def _tail_from_mass(mass: Sequence[float], n: int, rule: MajorityRule) -> float:
+def _tail_from_mass(mass: Sequence[float], n: int) -> float:
     # Computed as 1 minus the failure mass so that juries containing a
     # guaranteed majority of certain voters evaluate to exactly 1.0.
-    _check_tie_rule(n, rule)
     fail = math.fsum(mass[: (n + 1) // 2])
     if n % 2 == 0:
         fail += 0.5 * mass[n // 2]
@@ -155,8 +155,8 @@ def majority_prob_heterogeneous(
     and with exhaustive enumeration over the 2^n vote patterns.
     """
     n = len(p)
-    mass = _pmf(p.probs)
-    return _tail_from_mass(mass, n, rule)
+    _check_tie_rule(n, rule)
+    return _tail_from_mass(_pmf(p.probs), n)
 
 
 def derivative_at_half(n: int) -> Fraction:

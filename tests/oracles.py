@@ -5,7 +5,9 @@ touches the library's convolution DP; the exact-rational oracle evaluates
 the homogeneous tail in Fraction arithmetic.  ``batch_majority_prob`` is a
 speed helper for large random sweeps (same recurrence as the library,
 vectorized over many juries) and is cross-checked against the library
-inside the tests that use it.
+inside the tests that use it.  ``numpy_field`` and ``numpy_rk4_states`` are
+the competence dynamics over numpy arrays, whose means use numpy's pairwise
+summation instead of the library's left-to-right float sums.
 """
 
 from __future__ import annotations
@@ -102,3 +104,32 @@ def sample_many_with_mean(
 def sample_with_mean(rng: np.random.Generator, n: int, target: float) -> np.ndarray:
     """Single random competence vector with the given mean."""
     return sample_many_with_mean(rng, 1, n, target)[0]
+
+
+def numpy_field(config, state: np.ndarray) -> np.ndarray:
+    """Competence derivatives at ``state`` (a float array of length config.n)."""
+    d = np.empty_like(state)
+    d[0] = config.leader_multiplier * config.leader_gain * (1.0 - state[0])
+    if config.window is None:
+        mu = state.mean()
+        d[1:] = mu - state[1:]
+    else:
+        for i in range(1, config.n):
+            nearby = state[np.abs(state - state[i]) <= config.window]
+            d[i] = nearby.mean() - state[i]
+    return d
+
+
+def numpy_rk4_states(config) -> list[tuple[float, ...]]:
+    """Fixed-step RK4 states from t = 0, clipped to [0, 1] after each step."""
+    h = config.step
+    y = np.asarray(config.initial, dtype=float)
+    states = [tuple(float(x) for x in y)]
+    for _ in range(int(round(config.t_end / h))):
+        k1 = numpy_field(config, y)
+        k2 = numpy_field(config, y + 0.5 * h * k1)
+        k3 = numpy_field(config, y + 0.5 * h * k2)
+        k4 = numpy_field(config, y + h * k3)
+        y = np.clip(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, 1.0)
+        states.append(tuple(float(x) for x in y))
+    return states

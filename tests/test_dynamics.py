@@ -1,8 +1,11 @@
 """Mean-drift competence dynamics: fields, integration, classification."""
 
 import math
+import random
 
+import numpy as np
 import pytest
+from oracles import numpy_field, numpy_rk4_states
 
 from jurylearn import (
     DomainError,
@@ -58,6 +61,17 @@ class TestDerivativeField:
         with pytest.raises(DomainError):
             derivative_field(_config(), (0.5, 0.5))
 
+    @pytest.mark.parametrize("window", [None, 0.05, 0.2, 1.0])
+    def test_matches_numpy_oracle_bit_for_bit_up_to_seven_voters(self, window):
+        # numpy's pairwise sum is a left-to-right loop below 8 elements
+        rng = random.Random(20240)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            state = tuple(rng.random() for _ in range(n))
+            cfg = _config(n=n, initial=state, leader_gain=rng.random(), window=window)
+            expected = tuple(float(d) for d in numpy_field(cfg, np.asarray(state)))
+            assert derivative_field(cfg, state) == expected
+
 
 class TestIntegrate:
     def test_scalar_leader_closed_form(self):
@@ -86,6 +100,19 @@ class TestIntegrate:
         traj = integrate(_config())
         floor = min(traj.config.initial)
         assert all(x >= floor - 1e-12 for s in traj.states for x in s)
+
+    @pytest.mark.parametrize("window", [None, 0.1])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_matches_numpy_oracle_for_larger_groups(self, n, window):
+        # from 8 voters numpy sums pairwise, so the last bit may differ
+        rng = random.Random(n)
+        initial = tuple(rng.random() for _ in range(n))
+        cfg = _config(n=n, initial=initial, t_end=2.0, step=0.01, window=window)
+        traj = integrate(cfg)
+        expected = numpy_rk4_states(cfg)
+        assert len(traj.states) == len(expected)
+        for state, oracle in zip(traj.states, expected):
+            assert state == pytest.approx(oracle, abs=1e-12)
 
     def test_global_model_never_clamps(self):
         assert integrate(_config()).clamp_count == 0

@@ -23,19 +23,24 @@ from jurylearn import (
     DynamicsConfig,
     ExactMajoritySet,
     Independent,
+    LinearProfile,
+    MajorityRule,
     PowerProfile,
     TimeAllocation,
     VoteDistribution,
+    competence_curve,
     critical_group_rate,
     derivative_at_half,
+    derivative_field,
     group_competence,
     hoeffding_extremal,
     initial_slope,
     integrate,
+    majority_prob_heterogeneous,
     majority_prob_homogeneous,
     sample_majority_rate,
 )
-from jurylearn import correlation
+from jurylearn import correlation, votemath
 from jurylearn.cli import run
 
 NAN, INF = math.nan, math.inf
@@ -52,6 +57,10 @@ def _config(**overrides):
     fields = dict(n=1, initial=[0.5], leader_gain=0.1, t_end=1.0, step=0.1)
     fields.update(overrides)
     return DynamicsConfig(**fields)
+
+
+def _derivative(*state):
+    return derivative_field(_config(n=3, initial=[0.5] * 3), state)
 
 
 def _correlate(model):
@@ -97,6 +106,17 @@ REJECTED = {
     "cost linear:c=inf": _cost("linear:c=inf"),
     "cost linear:c=1e-320": _cost("linear:c=1e-320"),
     "cost plateau:a=1e-320": _cost("plateau:a=1e-320,cap=0.9"),
+    "majority_prob_homogeneous(4, 0.6, 'fail')": lambda: majority_prob_homogeneous(4, 0.6, "fail"),
+    "majority_prob_homogeneous(3, 0.6, 'bogus')": lambda: majority_prob_homogeneous(3, 0.6, "bogus"),
+    "majority_prob_heterogeneous(rule='bogus')": lambda: majority_prob_heterogeneous(
+        CompetenceVector([0.6, 0.7]), "bogus"
+    ),
+    "TimeAllocation(1.0, 3, 'bogus')": lambda: TimeAllocation(1.0, 3, "bogus"),
+    "competence_curve(alloc_rule='bogus')": lambda: competence_curve(LinearProfile(1.0), 3, "bogus", [0.5]),
+    "initial_slope(3, 1.0, 'bogus')": lambda: initial_slope(3, 1.0, "bogus"),
+    "derivative_field(nan, .5, .5)": lambda: _derivative(NAN, 0.5, 0.5),
+    "derivative_field(inf, .5, .5)": lambda: _derivative(INF, 0.5, 0.5),
+    "derivative_field(2.0, .5, .5)": lambda: _derivative(2.0, 0.5, 0.5),
 }
 
 
@@ -109,6 +129,24 @@ def test_out_of_domain_input_is_rejected(config_file, case):
         code, out, err = cli(*(arg.replace("{config}", config_file) for arg in case))
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+
+def test_rule_values_are_normalised_to_members():
+    alloc = TimeAllocation(1.0, 3.0, "equal-split")
+    assert (alloc.rule, alloc.group_size, alloc.per_voter_time) == (AllocationRule.EQUAL_SPLIT, 3, 1.0 / 3.0)
+    assert type(alloc.group_size) is int
+    assert initial_slope(3, 1.0, "equal-split") == initial_slope(3, 1.0, AllocationRule.EQUAL_SPLIT)
+    assert competence_curve(LinearProfile(1.0), 3, "equal-split", [0.3]) == competence_curve(
+        LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, [0.3]
+    )
+    assert majority_prob_homogeneous(4, 0.6, "fair-coin") == majority_prob_homogeneous(4, 0.6, MajorityRule.FAIR_COIN)
+
+
+def test_tie_rule_is_checked_before_the_fold(monkeypatch):
+    monkeypatch.setattr(votemath, "_pmf", None)  # calling the fold now raises TypeError
+    for rule in ("bogus", MajorityRule.FAIL):
+        with pytest.raises(DomainError):
+            majority_prob_heterogeneous(CompetenceVector([0.6, 0.7]), rule)
 
 
 def test_power_profile_saturates_without_overflow():
