@@ -58,8 +58,6 @@ def time_grid(values: Iterable[float]) -> list[float]:
 
 def member(value, enum_cls: type[Enum], name: str) -> Enum:
     """A member of ``enum_cls``, given as the member itself or as its value."""
-    if isinstance(value, enum_cls):  # skips the slower Enum lookup on the hot path
-        return value
     try:
         return enum_cls(value)
     except ValueError:

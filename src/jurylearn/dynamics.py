@@ -10,9 +10,11 @@ caps the group competence below 1.
 
 Integration is classical fixed-step 4th-order Runge-Kutta over tuples of
 plain floats, each mean a left-to-right sum; a fixed step and a fixed
-summation order keep trajectories bit-reproducible.  States are clipped to
-[0, 1] after each step and the number of clipped components is recorded (it
-stays 0 for the global-mean model, whose field points inward).
+summation order keep trajectories bit-reproducible on every supported
+Python (the means use ``reduce(add, ...)``, since the built-in ``sum``
+compensates float sums from Python 3.12).  States are clipped to [0, 1]
+after each step and the number of clipped components is recorded (it stays
+0 for the global-mean model, whose field points inward).
 
 The group competence along a trajectory is evaluated per sample with the
 exact majority machinery; even group sizes use the fair-coin tie rule.
@@ -23,16 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from importlib import resources
+from operator import add
 from typing import NamedTuple, Sequence
 
 from . import _checks
 from .csvio import CsvTable
-from .errors import (
-    DomainError,
-    IntegrationFailureError,
-    NotConvergedError,
-)
+from .errors import DomainError, IntegrationFailureError, NotConvergedError
 from .votemath import CompetenceVector, MajorityRule, majority_prob_heterogeneous
 
 __all__ = [
@@ -97,12 +97,12 @@ def _field(config: DynamicsConfig, state: tuple[float, ...]) -> tuple[float, ...
     window = config.window
     lead = config.leader_multiplier * config.leader_gain * (1.0 - state[0])
     if window is None:  # one mean for every follower keeps the global model O(n)
-        mean = sum(state) / len(state)
+        mean = reduce(add, state, 0.0) / len(state)
         return (lead,) + tuple(mean - x for x in state[1:])
     d = [lead]
     for x in state[1:]:
         nearby = [y for y in state if abs(y - x) <= window]
-        d.append(sum(nearby) / len(nearby) - x)
+        d.append(reduce(add, nearby, 0.0) / len(nearby) - x)
     return tuple(d)
 
 

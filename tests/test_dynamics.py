@@ -73,6 +73,19 @@ class TestDerivativeField:
             assert derivative_field(cfg, state) == expected
 
 
+    @pytest.mark.parametrize("window", [None, 1.0])
+    def test_means_are_left_to_right_sums_on_every_python(self, window):
+        # ten 0.1s sum to 0.9999999999999999 left to right but to 1.0 under the
+        # compensated built-in sum() of Python 3.12+, so followers would rest
+        state = (0.1,) * 10
+        cfg = _config(n=10, initial=state, leader_gain=0.0, window=window)
+        total = 0.0
+        for x in state:
+            total += x
+        assert total != 1.0
+        assert derivative_field(cfg, state) == (0.0,) + (total / 10 - 0.1,) * 9
+
+
 class TestIntegrate:
     def test_scalar_leader_closed_form(self):
         cfg = DynamicsConfig(n=1, initial=(0.5,), leader_gain=0.1, t_end=10.0, step=0.01)
