@@ -45,7 +45,6 @@ from .profiles import (
     LinearProfile,
     PlateauProfile,
     PowerProfile,
-    TimeAllocation,
     competence_curve,
     format_profile,
     group_competence,

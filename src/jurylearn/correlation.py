@@ -70,20 +70,24 @@ class CovarianceSpec:
         n = len(p)
         if matrix.shape != (n, n):
             raise DomainError(f"covariance must be {n}x{n}, got {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise DomainError("covariance entries must be finite")
         if not np.array_equal(matrix, matrix.T):
             raise DomainError("covariance matrix must be symmetric")
         probs = np.asarray(p.probs)
         if np.max(np.abs(np.diag(matrix) - probs * (1.0 - probs))) > 1e-12:
             raise DomainError("diagonal entries must equal p_i*(1 - p_i)")
-        for i in range(n):
-            for j in range(i + 1, n):
-                lo = -min(probs[i] * probs[j], (1 - probs[i]) * (1 - probs[j]))
-                hi = min(probs[i] * (1 - probs[j]), probs[j] * (1 - probs[i]))
-                if not (lo - 1e-12 <= matrix[i, j] <= hi + 1e-12):
-                    raise DomainError(
-                        f"cov[{i}][{j}] = {matrix[i, j]!r} violates the Frechet "
-                        f"bounds [{lo!r}, {hi!r}]"
-                    )
+        q = 1.0 - probs
+        lo = -np.minimum(np.outer(probs, probs), np.outer(q, q))
+        hi = np.minimum(np.outer(probs, q), np.outer(q, probs))
+        ok = (lo - 1e-12 <= matrix) & (matrix <= hi + 1e-12)
+        bad = np.argwhere(np.triu(~ok, 1))
+        if len(bad):
+            i, j = bad[0]
+            raise DomainError(
+                f"cov[{i}][{j}] = {float(matrix[i, j])!r} violates the Frechet "
+                f"bounds [{float(lo[i, j])!r}, {float(hi[i, j])!r}]"
+            )
         matrix.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "cov", matrix)

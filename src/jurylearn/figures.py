@@ -20,6 +20,7 @@ which is emitted at full integration resolution.
 
 from __future__ import annotations
 
+from . import _checks
 from .csvio import CsvTable
 from .dynamics import integrate, load_scenario, trajectory_table
 from .errors import DomainError
@@ -112,7 +113,7 @@ FIGURE_IDS = tuple(sorted(_BUILDERS))
 def figure_table(fig_id: int) -> CsvTable:
     """Build the data series for one figure id (see module docstring)."""
     try:
-        builder = _BUILDERS[int(fig_id)]
+        builder = _BUILDERS[_checks.count(fig_id, "figure id")]
     except (KeyError, ValueError):
         raise DomainError(f"figure id must be one of {FIGURE_IDS}, got {fig_id!r}") from None
     return builder()

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 from . import _checks
 from .errors import DomainError, UnattainableTargetError
-from .votemath import MajorityRule, majority_prob_homogeneous
+from .votemath import majority_prob_homogeneous
 
 __all__ = [
     "LinearProfile",
@@ -29,7 +29,6 @@ __all__ = [
     "PlateauProfile",
     "LearningProfile",
     "AllocationRule",
-    "TimeAllocation",
     "group_competence",
     "competence_curve",
     "uniform_grid",
@@ -124,47 +123,23 @@ class AllocationRule(Enum):
         return total / n if self is AllocationRule.EQUAL_SPLIT else total
 
 
-@dataclass(frozen=True)
-class TimeAllocation:
-    total_time: float
-    group_size: int
-    rule: AllocationRule = AllocationRule.EQUAL_SPLIT
-
-    def __post_init__(self):
-        _checks.non_negative(self.total_time, "total time")
-        object.__setattr__(self, "group_size", _checks.count(self.group_size, "group size"))
-        object.__setattr__(self, "rule", _checks.member(self.rule, AllocationRule, "allocation rule"))
-
-    @property
-    def per_voter_time(self) -> float:
-        return self.rule.per_voter_time(self.total_time, self.group_size)
-
-
 def group_competence(
-    profile: LearningProfile,
-    alloc: TimeAllocation,
-    rule: MajorityRule = MajorityRule.FAIL,
+    profile: LearningProfile, n: int, alloc_rule: AllocationRule, total: float
 ) -> float:
-    """Majority probability of a group whose members all follow ``profile``."""
-    p = profile.evaluate(alloc.per_voter_time)
-    return majority_prob_homogeneous(alloc.group_size, p, rule)
+    """Majority probability of n voters on ``profile``, each given its share of ``total``."""
+    n = _checks.count(n, "group size")
+    alloc_rule = _checks.member(alloc_rule, AllocationRule, "allocation rule")
+    return majority_prob_homogeneous(n, profile.evaluate(alloc_rule.per_voter_time(total, n)))
 
 
 def competence_curve(
-    profile: LearningProfile,
-    n: int,
-    alloc_rule: AllocationRule,
-    t_grid: Sequence[float],
-    rule: MajorityRule = MajorityRule.FAIL,
+    profile: LearningProfile, n: int, alloc_rule: AllocationRule, t_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Group competence along an ascending grid of total times, each voter given its share."""
+    """``group_competence`` along an ascending grid of total times."""
     grid = _checks.time_grid(t_grid)
     n = _checks.count(n, "group size")
     alloc_rule = _checks.member(alloc_rule, AllocationRule, "allocation rule")
-    return [
-        (t, majority_prob_homogeneous(n, profile.evaluate(alloc_rule.per_voter_time(t, n)), rule))
-        for t in grid
-    ]
+    return [(t, group_competence(profile, n, alloc_rule, t)) for t in grid]
 
 
 def uniform_grid(t_max: float, points: int) -> list[float]:

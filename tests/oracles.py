@@ -8,6 +8,8 @@ vectorized over many juries) and is cross-checked against the library
 inside the tests that use it.  ``numpy_field`` and ``numpy_rk4_states`` are
 the competence dynamics over numpy arrays, whose means use numpy's pairwise
 summation instead of the library's left-to-right float sums.
+``frechet_first_violation`` is the pairwise Frechet check as a plain loop
+over the upper triangle, in row-major order.
 """
 
 from __future__ import annotations
@@ -133,3 +135,15 @@ def numpy_rk4_states(config) -> list[tuple[float, ...]]:
         y = np.clip(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, 1.0)
         states.append(tuple(float(x) for x in y))
     return states
+
+
+def frechet_first_violation(probs: np.ndarray, matrix: np.ndarray):
+    """First ``(i, j, cov, lo, hi)`` outside the Frechet bounds with slack 1e-12, or None."""
+    n = len(probs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lo = -min(probs[i] * probs[j], (1 - probs[i]) * (1 - probs[j]))
+            hi = min(probs[i] * (1 - probs[j]), probs[j] * (1 - probs[i]))
+            if not (lo - 1e-12 <= matrix[i, j] <= hi + 1e-12):
+                return i, j, matrix[i, j], lo, hi
+    return None

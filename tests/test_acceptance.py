@@ -24,7 +24,6 @@ from jurylearn import (
     Independent,
     MajorityRule,
     PlateauProfile,
-    TimeAllocation,
     concentration_failure_bound,
     cost_curve,
     critical_group_rate,
@@ -113,7 +112,7 @@ def test_criterion_03_extremal_jury():
 
 def test_criterion_04_plateau_limit():
     profile = PlateauProfile(rate=1.0, cap=2.0 / 3.0)
-    value = group_competence(profile, TimeAllocation(100.0, 3, AllocationRule.EQUAL_SPLIT))
+    value = group_competence(profile, 3, AllocationRule.EQUAL_SPLIT, 100.0)
     err = abs(value - 20.0 / 27.0)
     check(4, "plateau group competence at T=100 within 1e-9 of 20/27", err <= 1e-9,
           f"err={err:.3g}")
@@ -129,7 +128,7 @@ def test_criterion_05_three_voter_derivative_law():
             t = k / 100.0
             if not (h < t < 1.0 and t + h < t_sat):
                 continue
-            f = lambda x: group_competence(profile, TimeAllocation(x, 3, AllocationRule.EQUAL_SPLIT))
+            f = lambda x: group_competence(profile, 3, AllocationRule.EQUAL_SPLIT, x)
             fd = (f(t + h) - f(t - h)) / (2.0 * h)
             worst = max(worst, abs(fd - (c / 2.0 - 2.0 * c**3 * t**2 / 9.0)))
     check(5, "n=3 slope law c/2 - 2c^3 T^2/9 within 1e-6", worst <= 1e-6,

@@ -19,7 +19,7 @@ from jurylearn import (
 )
 from jurylearn.correlation import parse_model
 
-from oracles import sample_many_with_mean
+from oracles import frechet_first_violation, sample_many_with_mean
 
 
 def _indep_spec(probs):
@@ -27,7 +27,53 @@ def _indep_spec(probs):
     return CovarianceSpec(CompetenceVector(probs), np.diag(p * (1 - p)))
 
 
+def _shared_uniform_cov(probs, mix):
+    # X_i = [U_i < p_i], all voters sharing one U with probability mix
+    n = len(probs)
+    cov = np.diag(probs * (1.0 - probs))
+    for i in range(n):
+        for j in range(i + 1, n):
+            cov[i, j] = cov[j, i] = mix * (min(probs[i], probs[j]) - probs[i] * probs[j])
+    return cov
+
+
+def _nudged_case(rng, n):
+    # competences with exact 0s and 1s, entries pushed onto and across the 1e-12 slack
+    probs = rng.uniform(0.0, 1.0, n)
+    probs[rng.random(n) < 0.1] = rng.choice([0.0, 1.0])
+    cov = _shared_uniform_cov(probs, rng.choice([0.0, 0.5, 1.0]))
+    for _ in range(rng.integers(0, 4 + n // 20)):
+        i, j = sorted(rng.choice(n, 2, replace=False))
+        lo = -min(probs[i] * probs[j], (1 - probs[i]) * (1 - probs[j]))
+        hi = min(probs[i] * (1 - probs[j]), probs[j] * (1 - probs[i]))
+        delta = rng.choice([-2e-12, -5e-13, -1e-13, 0.0, 1e-13, 5e-13, 2e-12])
+        cov[i, j] = cov[j, i] = rng.choice([lo, hi]) + delta
+    return probs, cov
+
+
 class TestCovarianceSpec:
+    @pytest.mark.parametrize("sizes", [range(2, 13), (150, 160)], ids=["small", "large"])
+    def test_frechet_verdict_matches_loop_oracle(self, sizes):
+        rng = np.random.default_rng(20240607)
+        for n in sizes:
+            for _ in range(60 if n < 100 else 3):
+                probs, cov = _nudged_case(rng, n)
+                first = frechet_first_violation(probs, cov)
+                if first is None:
+                    assert np.array_equal(CovarianceSpec(CompetenceVector(probs), cov).cov, cov)
+                    continue
+                i, j, value, lo, hi = first
+                with pytest.raises(DomainError) as info:
+                    CovarianceSpec(CompetenceVector(probs), cov)
+                assert str(info.value) == (
+                    f"cov[{i}][{j}] = {float(value)!r} violates the Frechet bounds [{float(lo)!r}, {float(hi)!r}]"
+                )
+
+    def test_rejects_non_finite_before_symmetry(self):
+        cov = [[0.24, np.nan], [np.nan, 0.24]]
+        with pytest.raises(DomainError, match="must be finite"):
+            CovarianceSpec(CompetenceVector((0.6, 0.6)), cov)
+
     def test_rejects_asymmetric(self):
         cov = [[0.24, 0.1], [0.0, 0.24]]
         with pytest.raises(DomainError):
@@ -41,8 +87,9 @@ class TestCovarianceSpec:
     def test_rejects_frechet_violation(self):
         # |cov| for two Bernoulli(0.6) is at most 0.24
         cov = [[0.24, 0.3], [0.3, 0.24]]
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             CovarianceSpec(CompetenceVector((0.6, 0.6)), cov)
+        assert str(info.value) == "cov[0][1] = 0.3 violates the Frechet bounds [-0.16000000000000003, 0.24]"
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,6 @@ from jurylearn import (
     LinearProfile,
     PlateauProfile,
     PowerProfile,
-    TimeAllocation,
     UnattainableTargetError,
     competence_curve,
     format_profile,
@@ -119,21 +118,20 @@ class TestSerialization:
 
 class TestGroupCompetence:
     def test_single_voter(self):
-        alloc = TimeAllocation(0.2, 1)
-        assert group_competence(LinearProfile(1.0), alloc) == pytest.approx(0.7, abs=1e-15)
+        got = group_competence(LinearProfile(1.0), 1, AllocationRule.EQUAL_SPLIT, 0.2)
+        assert got == pytest.approx(0.7, abs=1e-15)
 
     def test_equal_split_three(self):
-        alloc = TimeAllocation(0.3, 3, AllocationRule.EQUAL_SPLIT)
-        assert group_competence(LinearProfile(1.0), alloc) == pytest.approx(0.648, abs=1e-12)
+        got = group_competence(LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, 0.3)
+        assert got == pytest.approx(0.648, abs=1e-12)
 
     def test_full_time(self):
-        alloc = TimeAllocation(0.1, 3, AllocationRule.FULL_TIME)
         expected = majority_prob_homogeneous(3, 0.6)
-        assert group_competence(LinearProfile(1.0), alloc) == pytest.approx(expected, abs=1e-15)
+        got = group_competence(LinearProfile(1.0), 3, AllocationRule.FULL_TIME, 0.1)
+        assert got == pytest.approx(expected, abs=1e-15)
 
     def test_plateau_long_run(self):
-        alloc = TimeAllocation(100.0, 3, AllocationRule.EQUAL_SPLIT)
-        got = group_competence(PlateauProfile(1.0, 2 / 3), alloc)
+        got = group_competence(PlateauProfile(1.0, 2 / 3), 3, AllocationRule.EQUAL_SPLIT, 100.0)
         assert got == pytest.approx(20 / 27, abs=1e-12)
 
 
@@ -192,5 +190,5 @@ class TestPlateauLimit:
         profile = PlateauProfile(1.0, 2 / 3)
         for n in (1, 3, 5):
             limit = majority_prob_homogeneous(n, 2 / 3)
-            got = group_competence(profile, TimeAllocation(50.0, n, AllocationRule.EQUAL_SPLIT))
+            got = group_competence(profile, n, AllocationRule.EQUAL_SPLIT, 50.0)
             assert got == pytest.approx(limit, abs=1e-12)

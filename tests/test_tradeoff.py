@@ -23,7 +23,6 @@ from jurylearn import (
     fixed_budget_compare,
     group_competence,
     initial_slope,
-    TimeAllocation,
 )
 
 CRITICAL_TABLE = {
@@ -151,8 +150,8 @@ class TestInitialSlope:
         for n in range(3, 17, 2):
             for c, alloc in ((0.8, AllocationRule.EQUAL_SPLIT), (1.3, AllocationRule.FULL_TIME)):
                 profile = LinearProfile(c)
-                f0 = group_competence(profile, TimeAllocation(0.0, n, alloc))
-                f1 = group_competence(profile, TimeAllocation(h, n, alloc))
+                f0 = group_competence(profile, n, alloc, 0.0)
+                f1 = group_competence(profile, n, alloc, h)
                 fd = (f1 - f0) / h
                 assert abs(fd - initial_slope(n, c, alloc)) <= 1e-6
 
@@ -168,7 +167,7 @@ class TestDerivativeAnchor:
                 if t - h <= 0 or t + h >= t_sat:
                     continue
                 profile = LinearProfile(c)
-                f = lambda x: group_competence(profile, TimeAllocation(x, 3, AllocationRule.EQUAL_SPLIT))
+                f = lambda x: group_competence(profile, 3, AllocationRule.EQUAL_SPLIT, x)
                 fd = (f(t + h) - f(t - h)) / (2 * h)
                 assert abs(fd - (c / 2 - 2 * c**3 * t**2 / 9)) <= 1e-6
 
@@ -208,7 +207,7 @@ class TestCostToReach:
     def test_round_trip(self, k, target, profile):
         n = 2 * k + 1
         result = cost_to_reach(CostQuery(n, target, profile))
-        reached = group_competence(profile, TimeAllocation(n * result.t_star, n, AllocationRule.EQUAL_SPLIT))
+        reached = group_competence(profile, n, AllocationRule.EQUAL_SPLIT, n * result.t_star)
         assert reached == pytest.approx(target, abs=1e-9)
 
     def test_plateau_boundary_attainable(self):

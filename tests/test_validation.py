@@ -26,12 +26,12 @@ from jurylearn import (
     LinearProfile,
     MajorityRule,
     PowerProfile,
-    TimeAllocation,
     VoteDistribution,
     competence_curve,
     critical_group_rate,
     derivative_at_half,
     derivative_field,
+    figure_table,
     group_competence,
     hoeffding_extremal,
     initial_slope,
@@ -82,7 +82,7 @@ def config_file(tmp_path_factory):
 # A callable must raise DomainError; an argv tuple must exit 1 with empty stdout.
 REJECTED = {
     "critical_group_rate(3.5)": lambda: critical_group_rate(3.5),
-    "TimeAllocation(nan, 3)": lambda: TimeAllocation(NAN, 3),
+    "group_competence(total=nan)": lambda: group_competence(LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, NAN),
     "integrate(t_end=inf)": lambda: integrate(_config(t_end=INF)),
     "ExactMajoritySet(3.5)": lambda: ExactMajoritySet(3.5),
     "ExactMajoritySet(nan)": lambda: ExactMajoritySet(NAN),
@@ -111,12 +111,14 @@ REJECTED = {
     "majority_prob_heterogeneous(rule='bogus')": lambda: majority_prob_heterogeneous(
         CompetenceVector([0.6, 0.7]), "bogus"
     ),
-    "TimeAllocation(1.0, 3, 'bogus')": lambda: TimeAllocation(1.0, 3, "bogus"),
+    "group_competence(alloc_rule='bogus')": lambda: group_competence(LinearProfile(1.0), 3, "bogus", 1.0),
     "competence_curve(alloc_rule='bogus')": lambda: competence_curve(LinearProfile(1.0), 3, "bogus", [0.5]),
     "initial_slope(3, 1.0, 'bogus')": lambda: initial_slope(3, 1.0, "bogus"),
     "derivative_field(nan, .5, .5)": lambda: _derivative(NAN, 0.5, 0.5),
     "derivative_field(inf, .5, .5)": lambda: _derivative(INF, 0.5, 0.5),
     "derivative_field(2.0, .5, .5)": lambda: _derivative(2.0, 0.5, 0.5),
+    "figure_table(inf)": lambda: figure_table(INF),
+    "figure_table(2.7)": lambda: figure_table(2.7),
 }
 
 
@@ -132,9 +134,9 @@ def test_out_of_domain_input_is_rejected(config_file, case):
 
 
 def test_rule_values_are_normalised_to_members():
-    alloc = TimeAllocation(1.0, 3.0, "equal-split")
-    assert (alloc.rule, alloc.group_size, alloc.per_voter_time) == (AllocationRule.EQUAL_SPLIT, 3, 1.0 / 3.0)
-    assert type(alloc.group_size) is int
+    assert group_competence(LinearProfile(1.0), 3.0, "equal-split", 1.0) == group_competence(
+        LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, 1.0
+    )
     assert initial_slope(3, 1.0, "equal-split") == initial_slope(3, 1.0, AllocationRule.EQUAL_SPLIT)
     assert competence_curve(LinearProfile(1.0), 3, "equal-split", [0.3]) == competence_curve(
         LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, [0.3]
@@ -152,7 +154,7 @@ def test_tie_rule_is_checked_before_the_fold(monkeypatch):
 def test_power_profile_saturates_without_overflow():
     # t**2 overflows a float for t > ~1.3e154; p(t) = 1 for every t >= 1 anyway
     assert PowerProfile(2).evaluate(1e155) == 1.0
-    assert group_competence(PowerProfile(2.0), TimeAllocation(1e200, 3)) == 1.0
+    assert group_competence(PowerProfile(2.0), 3, AllocationRule.EQUAL_SPLIT, 1e200) == 1.0
 
 
 def test_sampler_row_blocks_keep_the_stream(monkeypatch):
