@@ -1,7 +1,12 @@
-"""Domain checks shared by the public entry points.
+"""Domain checks and the text grammar shared by the public entry points.
 
-Each returns its value as ``int``, ``float`` or an enum member, or raises
-DomainError; nan and +-inf fail every numeric test below.
+Each check returns its value as ``int``, ``float`` or an enum member, or
+raises DomainError; nan and +-inf fail every numeric test below.  The
+numeric checks take text as well as numbers (``count("3.0")`` is 3), and
+text that is not a number fails like any other out-of-domain value, so
+parsers hand field text straight to the constructors that check it.
+``spec`` splits the one ``kind:key=value,...`` form used by profiles and
+vote models.
 """
 
 import math
@@ -11,10 +16,17 @@ from typing import Iterable
 from .errors import DomainError
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+
+
 def count(value, name: str, *, minimum: int = 1, odd: bool = False) -> int:
     """An integer >= ``minimum`` (and odd, when asked); fractions are rejected."""
     if not isinstance(value, int):
-        x = float(value)
+        x = _number(value, name)
         if not x.is_integer():
             raise DomainError(f"{name} must be an integer, got {value!r}")
         value = int(x)
@@ -26,7 +38,7 @@ def count(value, name: str, *, minimum: int = 1, odd: bool = False) -> int:
 
 def within(value, name: str, lo: float = 0.0, hi: float = 1.0) -> float:
     """A float in the closed interval [lo, hi]."""
-    x = float(value)
+    x = _number(value, name)
     if not lo <= x <= hi:
         raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
     return x
@@ -34,7 +46,7 @@ def within(value, name: str, lo: float = 0.0, hi: float = 1.0) -> float:
 
 def positive(value, name: str) -> float:
     """A finite float > 0."""
-    x = float(value)
+    x = _number(value, name)
     if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return x
@@ -42,7 +54,7 @@ def positive(value, name: str) -> float:
 
 def non_negative(value, name: str) -> float:
     """A finite float >= 0."""
-    x = float(value)
+    x = _number(value, name)
     if not 0.0 <= x < math.inf:
         raise DomainError(f"{name} must be non-negative and finite, got {value!r}")
     return x
@@ -62,3 +74,35 @@ def member(value, enum_cls: type[Enum], name: str) -> Enum:
         return enum_cls(value)
     except ValueError:
         raise DomainError(f"{name} must be one of {[m.value for m in enum_cls]}, got {value!r}") from None
+
+
+def spec(text: str, what: str, kinds: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, str]]:
+    """Split ``kind:key=value,...`` into its kind and the text of each field.
+
+    ``kinds`` maps every known kind to its fields, all of them required.  A
+    bare value extends the key before it, so ``probs=0.6,0.7`` is one field
+    holding ``0.6,0.7``.  An unknown kind, an unknown, missing or repeated
+    field, and a value with no key before it raise DomainError.
+    """
+    kind, _, body = str(text).strip().partition(":")
+    if kind not in kinds:
+        raise DomainError(f"unknown {what} kind {kind!r} (expected {'/'.join(kinds)})")
+    fields: dict[str, str] = {}
+    key = None
+    for item in body.split(",") if body else []:
+        name, eq, value = item.partition("=")
+        if not eq:
+            if key is None:
+                raise DomainError(f"malformed {what} field {item!r} in {text!r}")
+            fields[key] += "," + item
+            continue
+        key = name.strip()
+        if key not in kinds[kind]:
+            raise DomainError(f"{what} kind {kind!r} takes fields {kinds[kind]}, got {key!r}")
+        if key in fields:
+            raise DomainError(f"{what} field {key!r} given twice in {text!r}")
+        fields[key] = value
+    missing = [key for key in kinds[kind] if key not in fields]
+    if missing:
+        raise DomainError(f"{what} {text!r} is missing field {missing[0]!r}")
+    return kind, fields

@@ -32,7 +32,7 @@ from .dynamics import integrate, load_scenario, parse_dynamics_config, trajector
 from .errors import DomainError, IntegrationFailureError, NotConvergedError
 from .figures import FIGURE_IDS, figure_table
 from .profiles import parse_profile, uniform_grid
-from .tradeoff import asymptotic_rate_check, cost_curve, critical_group_rate, expert_threshold, fixed_budget_compare
+from .tradeoff import asymptotic_rate_check, cost_curve, fixed_budget_compare
 from .votemath import (
     CompetenceVector,
     concentration_failure_bound,
@@ -45,14 +45,6 @@ from .votemath import (
 __all__ = ["run", "main"]
 
 
-def _parse_probs(text: str) -> CompetenceVector:
-    try:
-        values = [float(x) for x in text.split(",")]
-    except ValueError:
-        raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
-    return CompetenceVector(values)
-
-
 def _render_float(x: float) -> str:
     return repr(float(x))
 
@@ -61,7 +53,7 @@ def _cmd_majority(args) -> str:
     if (args.probs is None) == (args.n is None):
         raise DomainError("specify either --n/--p or --probs")
     if args.probs is not None:
-        value = majority_prob_heterogeneous(_parse_probs(args.probs), args.tie_break)
+        value = majority_prob_heterogeneous(CompetenceVector(args.probs.split(",")), args.tie_break)
     else:
         if args.p is None:
             raise DomainError("--n requires --p")
@@ -75,7 +67,7 @@ def _cmd_extremal(args) -> str:
 
 
 def _cmd_majorize(args) -> str:
-    result = majorizes(_parse_probs(args.a), _parse_probs(args.b))
+    result = majorizes(CompetenceVector(args.a.split(",")), CompetenceVector(args.b.split(",")))
     return ("true" if result else "false") + "\n"
 
 
@@ -86,10 +78,11 @@ def _read_cov_file(path: str):
             tokens = fh.read().split()
     except OSError as exc:
         raise DomainError(f"cannot read covariance file: {exc}") from None
-    try:
-        n = int(tokens[0])
-        values = [float(x) for x in tokens[1:]]
-    except (IndexError, ValueError):
+    size, *entries = tokens or [""]
+    n = _checks.count(size, "covariance size")
+    try:  # the entries form one matrix, which CovarianceSpec checks as a whole
+        values = [float(x) for x in entries]
+    except ValueError:
         raise DomainError(f"malformed covariance file {path!r}") from None
     if len(values) != n * n:
         raise DomainError(f"expected {n}x{n} covariance entries, got {len(values)}")
@@ -103,7 +96,7 @@ def _cmd_bound(args) -> str:
         return _render_float(concentration_failure_bound(args.n, args.pbar)) + "\n"
     if args.probs is None or args.cov is None:
         raise DomainError("bound ladha requires --probs and --cov FILE")
-    probs = _parse_probs(args.probs)
+    probs = CompetenceVector(args.probs.split(","))
     n, matrix = _read_cov_file(args.cov)
     if n != len(probs):
         raise DomainError(f"covariance size {n} does not match {len(probs)} probabilities")
@@ -112,11 +105,10 @@ def _cmd_bound(args) -> str:
 
 def _cmd_rates(args) -> str:
     n_max = _checks.count(args.n_max, "--n-max")
-    exact_fn = critical_group_rate if args.kind == "critical" else expert_threshold
     rows = []
     for n in range(1, n_max + 1, 2):
         check = asymptotic_rate_check(n, args.kind)
-        rows.append((n, exact_fn(n), check.exact, check.asymptote))
+        rows.append((n, check.exact, float(check.exact), check.asymptote))
     return CsvTable(("n", "exact", "value", "asymptote"), rows).render()
 
 
@@ -127,11 +119,8 @@ def _cmd_tradeoff(args) -> str:
 
 def _cmd_cost(args) -> str:
     profile = parse_profile(args.profile)
-    try:
-        ns = [int(x) for x in args.n_list.split(",")]
-    except ValueError:
-        raise DomainError(f"expected comma-separated integers, got {args.n_list!r}") from None
-    return CsvTable(("n", "cost"), cost_curve(args.pstar, ns, lambda n: profile)).render()
+    rows = cost_curve(args.pstar, args.n_list.split(","), lambda n: profile)
+    return CsvTable(("n", "cost"), rows).render()
 
 
 def _cmd_simulate(args) -> str:

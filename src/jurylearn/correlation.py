@@ -107,8 +107,8 @@ class CommonCoin:
     def __post_init__(self):
         object.__setattr__(self, "n", _checks.count(self.n, "number of voters"))
         _checks.within(self.n, "number of voters", 1, _BLOCK)
-        _checks.within(self.p, "coin bias")
-        _checks.within(self.mix, "mixing weight")
+        object.__setattr__(self, "p", _checks.within(self.p, "coin bias"))
+        object.__setattr__(self, "mix", _checks.within(self.mix, "mixing weight"))
 
 
 @dataclass(frozen=True)
@@ -222,46 +222,21 @@ def sample_majority_rate(
     return SampleResult(estimate, stderr)
 
 
+_MODEL_FIELDS = {"independent": ("probs",), "commoncoin": ("p", "lambda", "n"), "exactmajority": ("n",)}
+
+
 def parse_model(spec: str) -> CorrelatedVoteModel:
     """Parse a vote-model description.
 
     Grammar: ``independent:probs=0.6,0.7,0.8``,
-    ``commoncoin:p=0.6,lambda=0.5,n=5`` or ``exactmajority:n=5``.  Values
-    containing commas (the probs list) extend the preceding key.
+    ``commoncoin:p=0.6,lambda=0.5,n=5`` or ``exactmajority:n=5``, read by
+    ``_checks.spec``: each kind takes exactly its listed fields, once each,
+    and the commas of the probs list extend that key.  The model classes
+    check the values.
     """
-    kind, _, body = spec.strip().partition(":")
-    fields: dict[str, list[str]] = {}
-    last_key: str | None = None
-    for item in body.split(",") if body else []:
-        key, eq, value = item.partition("=")
-        if eq:
-            last_key = key.strip()
-            fields.setdefault(last_key, []).append(value.strip())
-        elif last_key is not None:
-            fields[last_key].append(item.strip())
-        else:
-            raise DomainError(f"malformed model field {item!r} in {spec!r}")
-
-    def one_float(key: str) -> float:
-        if key not in fields or len(fields[key]) != 1:
-            raise DomainError(f"model {spec!r} needs exactly one {key!r} value")
-        try:
-            return float(fields[key][0])
-        except ValueError:
-            raise DomainError(f"non-numeric value for {key!r} in {spec!r}") from None
-
+    kind, fields = _checks.spec(spec, "model", _MODEL_FIELDS)
     if kind == "independent":
-        if "probs" not in fields:
-            raise DomainError(f"model {spec!r} is missing field 'probs'")
-        try:
-            probs = [float(x) for x in fields["probs"]]
-        except ValueError:
-            raise DomainError(f"non-numeric probability in {spec!r}") from None
-        return Independent(CompetenceVector(probs))
+        return Independent(CompetenceVector(fields["probs"].split(",")))
     if kind == "commoncoin":
-        return CommonCoin(n=one_float("n"), p=one_float("p"), mix=one_float("lambda"))
-    if kind == "exactmajority":
-        return ExactMajoritySet(n=one_float("n"))
-    raise DomainError(
-        f"unknown model kind {kind!r} (expected independent/commoncoin/exactmajority)"
-    )
+        return CommonCoin(n=fields["n"], p=fields["p"], mix=fields["lambda"])
+    return ExactMajoritySet(n=fields["n"])

@@ -248,25 +248,15 @@ def parse_dynamics_config(text: str) -> DynamicsConfig:
     missing = _REQUIRED_KEYS - entries.keys()
     if missing:
         raise DomainError(f"missing config keys: {', '.join(sorted(missing))}")
-    try:
-        n = int(entries["n"])
-        initial = tuple(float(x) for x in entries["initial"].split(","))
-        kappa = float(entries["kappa"])
-        multiplier = float(entries.get("multiplier", "1"))
-        window_text = entries.get("window", "none").lower()
-        window = None if window_text in {"none", ""} else float(window_text)
-        t_end = float(entries["t_end"])
-        step = float(entries["step"])
-    except ValueError as exc:
-        raise DomainError(f"malformed config value: {exc}") from None
+    window = entries.get("window", "none")
     return DynamicsConfig(
-        n=n,
-        initial=initial,
-        leader_gain=kappa,
-        t_end=t_end,
-        step=step,
-        leader_multiplier=multiplier,
-        window=window,
+        n=entries["n"],
+        initial=entries["initial"].split(","),
+        leader_gain=entries["kappa"],
+        t_end=entries["t_end"],
+        step=entries["step"],
+        leader_multiplier=entries.get("multiplier", 1.0),
+        window=None if window.lower() in {"none", ""} else window,
     )
 
 

@@ -44,7 +44,7 @@ class LinearProfile:
     rate: float
 
     def __post_init__(self):
-        _checks.positive(self.rate, "learning rate")
+        object.__setattr__(self, "rate", _checks.positive(self.rate, "learning rate"))
 
     @property
     def sup_competence(self) -> float:
@@ -66,7 +66,7 @@ class PowerProfile:
     exponent: float
 
     def __post_init__(self):
-        _checks.positive(self.exponent, "exponent")
+        object.__setattr__(self, "exponent", _checks.positive(self.exponent, "exponent"))
 
     @property
     def sup_competence(self) -> float:
@@ -90,8 +90,8 @@ class PlateauProfile:
     cap: float
 
     def __post_init__(self):
-        _checks.positive(self.rate, "learning rate")
-        _checks.within(self.cap, "cap", 0.5, 1.0)
+        object.__setattr__(self, "rate", _checks.positive(self.rate, "learning rate"))
+        object.__setattr__(self, "cap", _checks.within(self.cap, "cap", 0.5, 1.0))
 
     @property
     def sup_competence(self) -> float:
@@ -129,6 +129,7 @@ def group_competence(
     """Majority probability of n voters on ``profile``, each given its share of ``total``."""
     n = _checks.count(n, "group size")
     alloc_rule = _checks.member(alloc_rule, AllocationRule, "allocation rule")
+    total = _checks.non_negative(total, "total time")
     return majority_prob_homogeneous(n, profile.evaluate(alloc_rule.per_voter_time(total, n)))
 
 
@@ -148,6 +149,9 @@ def uniform_grid(t_max: float, points: int) -> list[float]:
     return [t_max * i / (points - 1) for i in range(points)]
 
 
+_PROFILE_FIELDS = {"linear": ("c",), "power": ("alpha",), "plateau": ("a", "cap")}
+
+
 def format_profile(profile: LearningProfile) -> str:
     if isinstance(profile, LinearProfile):
         return f"linear:c={profile.rate!r}"
@@ -159,25 +163,11 @@ def format_profile(profile: LearningProfile) -> str:
 
 
 def parse_profile(spec: str) -> LearningProfile:
-    """Parse ``linear:c=...``, ``power:alpha=...`` or ``plateau:a=...,cap=...``."""
-    kind, _, body = spec.strip().partition(":")
-    fields: dict[str, float] = {}
-    if body:
-        for item in body.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise DomainError(f"malformed profile field {item!r} in {spec!r}")
-            try:
-                fields[key.strip()] = float(value)
-            except ValueError:
-                raise DomainError(f"non-numeric profile value {value!r} in {spec!r}") from None
-    expected = {"linear": ("c",), "power": ("alpha",), "plateau": ("a", "cap")}
-    if kind not in expected:
-        raise DomainError(f"unknown profile kind {kind!r} (expected linear/power/plateau)")
-    if set(fields) != set(expected[kind]):
-        raise DomainError(
-            f"profile kind {kind!r} takes fields {expected[kind]}, got {tuple(sorted(fields))}"
-        )
+    """Parse ``linear:c=...``, ``power:alpha=...`` or ``plateau:a=...,cap=...``.
+
+    The grammar is ``_checks.spec``'s; each class checks its own values.
+    """
+    kind, fields = _checks.spec(spec, "profile", _PROFILE_FIELDS)
     if kind == "linear":
         return LinearProfile(rate=fields["c"])
     if kind == "power":

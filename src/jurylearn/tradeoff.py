@@ -53,27 +53,25 @@ def expert_threshold(n: int) -> Fraction:
 
 
 class AsymptoticCheck(NamedTuple):
-    exact: float
+    exact: Fraction
     asymptote: float
     relative_gap: float
 
 
 def asymptotic_rate_check(n: int, kind: str = "expert") -> AsymptoticCheck:
-    """Compare the exact rational rate against its large-n asymptote.
+    """Compare the exact rational rate (kept as ``exact``) against its large-n asymptote.
 
     ``kind`` selects ``expert`` (asymptote sqrt(2n/pi); the gap is positive
     and shrinks monotonically) or ``critical`` (asymptote sqrt(n*pi/2); the
     exact value sits below the asymptote, so the gap is negative).
     """
     if kind == "expert":
-        exact = float(expert_threshold(n))
-        asymptote = math.sqrt(2.0 * n / math.pi)
+        exact, asymptote = expert_threshold(n), math.sqrt(2.0 * n / math.pi)
     elif kind == "critical":
-        exact = float(critical_group_rate(n))
-        asymptote = math.sqrt(n * math.pi / 2.0)
+        exact, asymptote = critical_group_rate(n), math.sqrt(n * math.pi / 2.0)
     else:
         raise DomainError(f"kind must be 'expert' or 'critical', got {kind!r}")
-    return AsymptoticCheck(exact, asymptote, exact / asymptote - 1.0)
+    return AsymptoticCheck(exact, asymptote, float(exact) / asymptote - 1.0)
 
 
 def fixed_budget_compare(

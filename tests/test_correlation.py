@@ -241,9 +241,25 @@ class TestParseModel:
     def test_exactmajority(self):
         assert parse_model("exactmajority:n=5") == ExactMajoritySet(5)
 
+    def test_values_are_stored_as_checked(self):
+        model = CommonCoin(n="5.0", p="0.6", mix=1)
+        assert (model.n, model.p, model.mix) == (5, 0.6, 1.0)
+        assert (type(model.n), type(model.p), type(model.mix)) == (int, float, float)
+
     @pytest.mark.parametrize(
         "bad",
-        ["", "independent", "commoncoin:p=0.6", "exactmajority:n=4", "weird:x=1", "commoncoin:p=a,lambda=0.5,n=3"],
+        [
+            "",
+            "independent",
+            "commoncoin:p=0.6",
+            "exactmajority:n=4",
+            "weird:x=1",
+            "commoncoin:p=a,lambda=0.5,n=3",
+            "exactmajority:n=5,p=0.3",  # unknown field
+            "commoncoin:p=0.6,lambda=0.5,n=5,bogus=3",
+            "independent:probs=0.6,0.7,n=5",
+            "independent:probs=0.6,probs=0.7,0.8",  # duplicate field
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(DomainError):

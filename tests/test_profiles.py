@@ -1,5 +1,7 @@
 """Learning profiles, time allocation, and group-competence curves."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +33,12 @@ class TestEvaluate:
 
     def test_plateau_hits_cap(self):
         assert PlateauProfile(1.0, 2 / 3).evaluate(0.5) == pytest.approx(2 / 3, abs=1e-15)
+
+    def test_fields_are_stored_as_checked(self):
+        assert LinearProfile("1.0").evaluate(0.1) == pytest.approx(0.6, abs=1e-15)
+        assert type(PlateauProfile(1.0, Fraction(2, 3)).evaluate(5)) is float
+        for profile in (LinearProfile(1), PowerProfile("2"), PlateauProfile(1, Fraction(2, 3))):
+            assert {type(v) for v in vars(profile).values()} == {float}
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
@@ -109,6 +117,8 @@ class TestSerialization:
             "plateau:a=1.0",
             "spline:k=3",
             "linear:c=1.0,extra=2",
+            "linear:c=1,c=2",  # duplicate field
+            "plateau:a=1.0,cap=0.6,a=2.0",
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -133,6 +143,10 @@ class TestGroupCompetence:
     def test_plateau_long_run(self):
         got = group_competence(PlateauProfile(1.0, 2 / 3), 3, AllocationRule.EQUAL_SPLIT, 100.0)
         assert got == pytest.approx(20 / 27, abs=1e-12)
+
+    def test_negative_total_is_reported_as_given(self):
+        with pytest.raises(DomainError, match=r"total time .* got -3\.0$"):
+            group_competence(LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, -3.0)
 
 
 class TestCompetenceCurve:

@@ -95,6 +95,12 @@ class TestAsymptotics:
         with pytest.raises(DomainError):
             asymptotic_rate_check(3, "middling")
 
+    def test_exact_is_the_rational_rate(self):
+        for n in (1, 3, 15):
+            assert asymptotic_rate_check(n, "expert").exact == expert_threshold(n)
+            assert asymptotic_rate_check(n, "critical").exact == critical_group_rate(n)
+            assert type(asymptotic_rate_check(n, "critical").exact) is Fraction
+
 
 class TestFixedBudget:
     GRID = [i / 500 for i in range(751)]  # 0 .. 1.5

@@ -103,9 +103,16 @@ REJECTED = {
     "correlate commoncoin n=2.5": _correlate("commoncoin:p=0.6,lambda=0.5,n=2.5"),
     "correlate commoncoin n=inf": _correlate("commoncoin:p=0.6,lambda=0.5,n=inf"),
     "correlate commoncoin n=nan": _correlate("commoncoin:p=0.6,lambda=0.5,n=nan"),
+    "correlate exactmajority unknown field": _correlate("exactmajority:n=5,p=0.3"),
+    "correlate commoncoin unknown field": _correlate("commoncoin:p=0.6,lambda=0.5,n=5,bogus=3"),
+    "correlate independent unknown field": _correlate("independent:probs=0.6,0.7,n=5"),
+    "correlate independent duplicate field": _correlate("independent:probs=0.6,probs=0.7,0.8"),
+    "cost linear duplicate field": _cost("linear:c=1,c=2"),
     "cost linear:c=inf": _cost("linear:c=inf"),
     "cost linear:c=1e-320": _cost("linear:c=1e-320"),
     "cost plateau:a=1e-320": _cost("plateau:a=1e-320,cap=0.9"),
+    "majority_prob_homogeneous(3, 'x')": lambda: majority_prob_homogeneous(3, "x"),
+    "majority_prob_homogeneous(3, None)": lambda: majority_prob_homogeneous(3, None),
     "majority_prob_homogeneous(4, 0.6, 'fail')": lambda: majority_prob_homogeneous(4, 0.6, "fail"),
     "majority_prob_homogeneous(3, 0.6, 'bogus')": lambda: majority_prob_homogeneous(3, 0.6, "bogus"),
     "majority_prob_heterogeneous(rule='bogus')": lambda: majority_prob_heterogeneous(
@@ -142,6 +149,21 @@ def test_rule_values_are_normalised_to_members():
         LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, [0.3]
     )
     assert majority_prob_homogeneous(4, 0.6, "fair-coin") == majority_prob_homogeneous(4, 0.6, MajorityRule.FAIR_COIN)
+
+
+def test_integral_sizes_read_alike_in_text(tmp_path):
+    # a size may be any integral number: 3.0 reads as 3 in a model, an n-list and a config
+    runs = []
+    for n in ("3", "3.0"):
+        config = tmp_path / f"n{n}.cfg"
+        config.write_text(f"n = {n}\ninitial = 0.5, 0.6, 0.7\nkappa = 0.1\nt_end = 0.5\nstep = 0.1\n")
+        runs.append([
+            cli(*_correlate(f"commoncoin:p=0.6,lambda=0.5,n={n}")),
+            cli("cost", "--pstar", "0.8", "--profile", "linear:c=1.0", "--n-list", f"1,{n}"),
+            cli("simulate", "--config", str(config)),
+        ])
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[1]] == [0, 0, 0]
 
 
 def test_tie_rule_is_checked_before_the_fold(monkeypatch):
