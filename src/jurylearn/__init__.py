@@ -40,7 +40,6 @@ from .errors import (
 )
 from .figures import FIGURE_IDS, figure_table
 from .profiles import (
-    AllocationRule,
     LearningProfile,
     LinearProfile,
     PlateauProfile,

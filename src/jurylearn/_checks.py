@@ -25,6 +25,11 @@ def _number(value, name: str) -> float:
 
 def count(value, name: str, *, minimum: int = 1, odd: bool = False) -> int:
     """An integer >= ``minimum`` (and odd, when asked); fractions are rejected."""
+    if isinstance(value, str):
+        try:
+            value = int(value)  # exact at any size; "3.0" goes on to the float path
+        except ValueError:
+            pass
     if not isinstance(value, int):
         x = _number(value, name)
         if not x.is_integer():

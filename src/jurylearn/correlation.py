@@ -207,7 +207,7 @@ def sample_majority_rate(
     bit-identical for identical (model, trials, seed).
     """
     trials = _checks.count(trials, "trials")
-    base = int(seed) % (1 << 63)
+    base = _checks.count(seed, "seed", minimum=-math.inf) % (1 << 63)
     hits = 0
     done = 0
     chunk_index = 0

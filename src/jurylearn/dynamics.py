@@ -65,31 +65,21 @@ class DynamicsConfig:
     leader_multiplier: float = 1.0
     window: float | None = None
 
-    def __init__(
-        self,
-        n: int,
-        initial: Sequence[float],
-        leader_gain: float,
-        t_end: float,
-        step: float,
-        leader_multiplier: float = 1.0,
-        window: float | None = None,
-    ):
-        n = _checks.count(n, "number of voters")
-        values = tuple(_checks.within(x, "initial competence") for x in initial)
-        if len(values) != n:
-            raise DomainError(f"expected {n} initial competences, got {len(values)}")
-        t_end = _checks.non_negative(t_end, "end time")
-        step = _checks.positive(step, "step size")
+    def __post_init__(self):
+        n = _checks.count(self.n, "number of voters")
+        initial = tuple(_checks.within(x, "initial competence") for x in self.initial)
+        if len(initial) != n:
+            raise DomainError(f"expected {n} initial competences, got {len(initial)}")
+        t_end = _checks.non_negative(self.t_end, "end time")
+        step = _checks.positive(self.step, "step size")
         _checks.within(t_end / step, "step count t_end/step", 0.0, MAX_STEPS)
-        if window is not None:
-            window = _checks.positive(window, "window radius")
+        window = None if self.window is None else _checks.positive(self.window, "window radius")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "initial", values)
-        object.__setattr__(self, "leader_gain", _checks.non_negative(leader_gain, "leader gain"))
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "leader_gain", _checks.non_negative(self.leader_gain, "leader gain"))
         object.__setattr__(self, "t_end", t_end)
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "leader_multiplier", _checks.positive(leader_multiplier, "leader multiplier"))
+        object.__setattr__(self, "leader_multiplier", _checks.positive(self.leader_multiplier, "leader multiplier"))
         object.__setattr__(self, "window", window)
 
 

@@ -24,7 +24,7 @@ from . import _checks
 from .csvio import CsvTable
 from .dynamics import integrate, load_scenario, trajectory_table
 from .errors import DomainError
-from .profiles import AllocationRule, LearningProfile, LinearProfile, PlateauProfile, PowerProfile
+from .profiles import LearningProfile, LinearProfile, PlateauProfile, PowerProfile
 from .profiles import competence_curve, uniform_grid
 from .tradeoff import cost_curve, critical_group_rate, fixed_budget_compare
 from .votemath import majority_prob_homogeneous
@@ -68,13 +68,12 @@ def _figure_cost_regimes() -> CsvTable:
 def _profile_table(single: LearningProfile, groups: dict[str, LearningProfile], t_max: float) -> CsvTable:
     """T, P1 for one voter on ``single``, then p3<suffix>, P3<suffix> for three sharing T."""
     grid = uniform_grid(t_max, GRID_POINTS)
-    split = AllocationRule.EQUAL_SPLIT
     header = ["T", "P1"]
     columns = [[single.evaluate(t) for t in grid]]
     for suffix, profile in groups.items():
         header += [f"p3{suffix}", f"P3{suffix}"]
-        columns.append([profile.evaluate(split.per_voter_time(t, 3)) for t in grid])
-        columns.append([p for _, p in competence_curve(profile, 3, split, grid)])
+        columns.append([profile.evaluate(t / 3) for t in grid])
+        columns.append([p for _, p in competence_curve(profile, 3, grid)])
     return CsvTable(tuple(header), list(zip(grid, *columns)))
 
 

@@ -16,7 +16,6 @@ Profiles serialize to a compact text form, e.g. ``linear:c=1.0``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence, Union
 
 from . import _checks
@@ -28,7 +27,6 @@ __all__ = [
     "PowerProfile",
     "PlateauProfile",
     "LearningProfile",
-    "AllocationRule",
     "group_competence",
     "competence_curve",
     "uniform_grid",
@@ -112,39 +110,29 @@ class PlateauProfile:
 LearningProfile = Union[LinearProfile, PowerProfile, PlateauProfile]
 
 
-class AllocationRule(Enum):
-    """How a total time budget T is shared among the group."""
+def group_competence(profile: LearningProfile, n: int, total: float) -> float:
+    """Majority probability of n voters on ``profile``, each given ``total / n`` of study time.
 
-    EQUAL_SPLIT = "equal-split"  # each of n voters studies for T/n
-    FULL_TIME = "full-time"      # a fixed deadline: every voter studies for T
-
-    def per_voter_time(self, total: float, n: int) -> float:
-        """Each voter's share of ``total`` in a group of n."""
-        return total / n if self is AllocationRule.EQUAL_SPLIT else total
-
-
-def group_competence(
-    profile: LearningProfile, n: int, alloc_rule: AllocationRule, total: float
-) -> float:
-    """Majority probability of n voters on ``profile``, each given its share of ``total``."""
+    A common deadline, where every voter studies the whole ``total``, is
+    ``majority_prob_homogeneous(n, profile.evaluate(total))``.
+    """
     n = _checks.count(n, "group size")
-    alloc_rule = _checks.member(alloc_rule, AllocationRule, "allocation rule")
     total = _checks.non_negative(total, "total time")
-    return majority_prob_homogeneous(n, profile.evaluate(alloc_rule.per_voter_time(total, n)))
+    return majority_prob_homogeneous(n, profile.evaluate(total / n))
 
 
 def competence_curve(
-    profile: LearningProfile, n: int, alloc_rule: AllocationRule, t_grid: Sequence[float]
+    profile: LearningProfile, n: int, t_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """``group_competence`` along an ascending grid of total times."""
     grid = _checks.time_grid(t_grid)
     n = _checks.count(n, "group size")
-    alloc_rule = _checks.member(alloc_rule, AllocationRule, "allocation rule")
-    return [(t, group_competence(profile, n, alloc_rule, t)) for t in grid]
+    return [(t, group_competence(profile, n, t)) for t in grid]
 
 
 def uniform_grid(t_max: float, points: int) -> list[float]:
     """``points`` equally spaced values from 0 to ``t_max``, both ends included."""
+    t_max = _checks.non_negative(t_max, "t_max")
     points = _checks.count(points, "points", minimum=2)
     return [t_max * i / (points - 1) for i in range(points)]
 

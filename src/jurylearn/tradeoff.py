@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import _checks
 from .errors import DomainError, UnattainableTargetError
-from .profiles import AllocationRule, LearningProfile, LinearProfile, competence_curve
+from .profiles import LearningProfile, LinearProfile, competence_curve
 from .votemath import derivative_at_half, majority_prob_homogeneous
 
 __all__ = [
@@ -87,17 +87,19 @@ def fixed_budget_compare(
     """
     n = _checks.count(n, "group size", minimum=3, odd=True)
     single = LinearProfile(c_single)
-    group = competence_curve(LinearProfile(c_group), n, AllocationRule.EQUAL_SPLIT, t_grid)
+    group = competence_curve(LinearProfile(c_group), n, t_grid)
     return [(t, single.evaluate(t), p_group) for t, p_group in group]
 
 
-def initial_slope(n: int, c: float, alloc_rule: AllocationRule) -> float:
-    """d/dT of the group-competence curve at T = 0 for a linear profile of rate c."""
+def initial_slope(n: int, c: float) -> float:
+    """d/dT of ``group_competence`` at T = 0 for a linear profile of rate c.
+
+    Each voter's clock runs at 1/n of the total time, so its rate is c/n.
+    Under a common deadline the slope is ``c * expert_threshold(n)``.
+    """
     n = _checks.count(n, "group size", odd=True)
-    _checks.positive(c, "learning rate")
-    alloc_rule = _checks.member(alloc_rule, AllocationRule, "allocation rule")
-    # a voter's clock runs at its share of the total time, so its rate c is shared alike
-    return alloc_rule.per_voter_time(c, n) * float(derivative_at_half(n))
+    c = _checks.positive(c, "learning rate")
+    return c / n * float(derivative_at_half(n))
 
 
 @dataclass(frozen=True)
@@ -110,10 +112,12 @@ class CostQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _checks.count(self.n, "group size", odd=True))
-        if not 0.5 < self.target < 1.0:
+        target = _checks._number(self.target, "target competence")
+        if not 0.5 < target < 1.0:
             raise DomainError(
                 f"target competence must lie strictly between 1/2 and 1, got {self.target!r}"
             )
+        object.__setattr__(self, "target", target)
 
 
 class CostResult(NamedTuple):

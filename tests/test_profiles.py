@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jurylearn import (
-    AllocationRule,
     DomainError,
     LinearProfile,
     PlateauProfile,
@@ -128,43 +127,38 @@ class TestSerialization:
 
 class TestGroupCompetence:
     def test_single_voter(self):
-        got = group_competence(LinearProfile(1.0), 1, AllocationRule.EQUAL_SPLIT, 0.2)
+        got = group_competence(LinearProfile(1.0), 1, 0.2)
         assert got == pytest.approx(0.7, abs=1e-15)
 
     def test_equal_split_three(self):
-        got = group_competence(LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, 0.3)
+        got = group_competence(LinearProfile(1.0), 3, 0.3)
         assert got == pytest.approx(0.648, abs=1e-12)
 
-    def test_full_time(self):
-        expected = majority_prob_homogeneous(3, 0.6)
-        got = group_competence(LinearProfile(1.0), 3, AllocationRule.FULL_TIME, 0.1)
-        assert got == pytest.approx(expected, abs=1e-15)
-
     def test_plateau_long_run(self):
-        got = group_competence(PlateauProfile(1.0, 2 / 3), 3, AllocationRule.EQUAL_SPLIT, 100.0)
+        got = group_competence(PlateauProfile(1.0, 2 / 3), 3, 100.0)
         assert got == pytest.approx(20 / 27, abs=1e-12)
 
     def test_negative_total_is_reported_as_given(self):
         with pytest.raises(DomainError, match=r"total time .* got -3\.0$"):
-            group_competence(LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, -3.0)
+            group_competence(LinearProfile(1.0), 3, -3.0)
 
 
 class TestCompetenceCurve:
     def test_single_voter_values(self):
-        curve = competence_curve(LinearProfile(1.0), 1, AllocationRule.EQUAL_SPLIT, (0.0, 0.25, 0.5))
+        curve = competence_curve(LinearProfile(1.0), 1, (0.0, 0.25, 0.5))
         assert curve == [(0.0, 0.5), (0.25, 0.75), (0.5, 1.0)]
 
     def test_saturated_group(self):
-        curve = competence_curve(LinearProfile(2.0), 3, AllocationRule.EQUAL_SPLIT, (0.75,))
+        curve = competence_curve(LinearProfile(2.0), 3, (0.75,))
         assert curve == [(0.75, 1.0)]
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(DomainError):
-            competence_curve(LinearProfile(1.0), 1, AllocationRule.EQUAL_SPLIT, (0.5, 0.2))
+            competence_curve(LinearProfile(1.0), 1, (0.5, 0.2))
 
     def test_negative_grid_rejected(self):
         with pytest.raises(DomainError):
-            competence_curve(LinearProfile(1.0), 1, AllocationRule.EQUAL_SPLIT, (-0.5, 0.2))
+            competence_curve(LinearProfile(1.0), 1, (-0.5, 0.2))
 
     @given(
         st.sampled_from([LinearProfile(0.7), PowerProfile(0.55), PowerProfile(2.0), PlateauProfile(1.0, 0.7)]),
@@ -173,21 +167,21 @@ class TestCompetenceCurve:
     def test_curves_non_decreasing(self, profile, k):
         n = 2 * k + 1
         grid = [0.05 * i for i in range(40)]
-        values = [v for _, v in competence_curve(profile, n, AllocationRule.EQUAL_SPLIT, grid)]
+        values = [v for _, v in competence_curve(profile, n, grid)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_convex_profile_single_voter_dominates(self):
         # quadratic growth favors the lone voter at every positive time
         grid = [0.02 * i for i in range(1, 51)]
-        single = competence_curve(LinearProfile(1.0), 1, AllocationRule.EQUAL_SPLIT, grid)
-        group = competence_curve(PowerProfile(2.0), 3, AllocationRule.EQUAL_SPLIT, grid)
+        single = competence_curve(LinearProfile(1.0), 1, grid)
+        group = competence_curve(PowerProfile(2.0), 3, grid)
         assert all(s >= g for (_, s), (_, g) in zip(single, group))
 
     def test_concave_profile_crossover(self):
         # sublinear growth puts the group ahead early, the single voter late
         grid = [0.02 * i for i in range(76)]
-        single = competence_curve(LinearProfile(1.0), 1, AllocationRule.EQUAL_SPLIT, grid)
-        group = competence_curve(PowerProfile(0.55), 3, AllocationRule.EQUAL_SPLIT, grid)
+        single = competence_curve(LinearProfile(1.0), 1, grid)
+        group = competence_curve(PowerProfile(0.55), 3, grid)
         diffs = [g - s for (_, s), (_, g) in zip(single, group)]
         assert any(d > 1e-6 for d in diffs[1:20])
         assert any(d < -1e-6 for d in diffs[20:])
@@ -204,5 +198,5 @@ class TestPlateauLimit:
         profile = PlateauProfile(1.0, 2 / 3)
         for n in (1, 3, 5):
             limit = majority_prob_homogeneous(n, 2 / 3)
-            got = group_competence(profile, n, AllocationRule.EQUAL_SPLIT, 50.0)
+            got = group_competence(profile, n, 50.0)
             assert got == pytest.approx(limit, abs=1e-12)

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jurylearn import (
-    AllocationRule,
     CostQuery,
     DomainError,
     LinearProfile,
@@ -23,6 +22,7 @@ from jurylearn import (
     fixed_budget_compare,
     group_competence,
     initial_slope,
+    majority_prob_homogeneous,
 )
 
 CRITICAL_TABLE = {
@@ -114,9 +114,7 @@ class TestFixedBudget:
         rows = fixed_budget_compare(1.0, 2.0, 3, self.GRID)
         assert all(s >= g for _, s, g in rows)
         # matching initial slopes
-        assert initial_slope(1, 1.0, AllocationRule.FULL_TIME) == pytest.approx(
-            initial_slope(3, 2.0, AllocationRule.EQUAL_SPLIT), abs=1e-15
-        )
+        assert initial_slope(1, 1.0) == pytest.approx(initial_slope(3, 2.0), abs=1e-15)
 
     def test_intermediate_rate_crossover(self):
         rows = fixed_budget_compare(1.0, 2.5, 3, self.GRID)
@@ -147,19 +145,19 @@ class TestFixedBudget:
 
 class TestInitialSlope:
     def test_known_values(self):
-        assert initial_slope(1, 2.5, AllocationRule.EQUAL_SPLIT) == pytest.approx(2.5, abs=1e-15)
-        assert initial_slope(3, 1.0, AllocationRule.EQUAL_SPLIT) == pytest.approx(0.5, abs=1e-15)
-        assert initial_slope(3, 1.0, AllocationRule.FULL_TIME) == pytest.approx(1.5, abs=1e-15)
+        assert initial_slope(1, 2.5) == pytest.approx(2.5, abs=1e-15)
+        assert initial_slope(3, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert initial_slope(3, "1.0") == initial_slope(3, 1.0)
 
     def test_matches_curve_finite_difference(self):
         h = 1e-4
         for n in range(3, 17, 2):
-            for c, alloc in ((0.8, AllocationRule.EQUAL_SPLIT), (1.3, AllocationRule.FULL_TIME)):
-                profile = LinearProfile(c)
-                f0 = group_competence(profile, n, alloc, 0.0)
-                f1 = group_competence(profile, n, alloc, h)
-                fd = (f1 - f0) / h
-                assert abs(fd - initial_slope(n, c, alloc)) <= 1e-6
+            split = LinearProfile(0.8)
+            fd = (group_competence(split, n, h) - group_competence(split, n, 0.0)) / h
+            assert abs(fd - initial_slope(n, 0.8)) <= 1e-6
+            # under a common deadline every voter studies the whole time: the slope is the expert threshold
+            deadline = lambda t: majority_prob_homogeneous(n, LinearProfile(1.3).evaluate(t))
+            assert abs((deadline(h) - deadline(0.0)) / h - 1.3 * float(expert_threshold(n))) <= 1e-6
 
 
 class TestDerivativeAnchor:
@@ -173,7 +171,7 @@ class TestDerivativeAnchor:
                 if t - h <= 0 or t + h >= t_sat:
                     continue
                 profile = LinearProfile(c)
-                f = lambda x: group_competence(profile, 3, AllocationRule.EQUAL_SPLIT, x)
+                f = lambda x: group_competence(profile, 3, x)
                 fd = (f(t + h) - f(t - h)) / (2 * h)
                 assert abs(fd - (c / 2 - 2 * c**3 * t**2 / 9)) <= 1e-6
 
@@ -205,6 +203,9 @@ class TestCostToReach:
         q = CostQuery(3.0, 0.8, LinearProfile(1.0))
         assert type(q.n) is int and q.n == 3
 
+    def test_target_is_stored_as_checked(self):
+        assert CostQuery(3, "0.8", LinearProfile(1.0)) == CostQuery(3, 0.8, LinearProfile(1.0))
+
     @given(
         st.integers(0, 6),
         st.floats(0.51, 0.99, allow_nan=False),
@@ -213,13 +214,11 @@ class TestCostToReach:
     def test_round_trip(self, k, target, profile):
         n = 2 * k + 1
         result = cost_to_reach(CostQuery(n, target, profile))
-        reached = group_competence(profile, n, AllocationRule.EQUAL_SPLIT, n * result.t_star)
+        reached = group_competence(profile, n, n * result.t_star)
         assert reached == pytest.approx(target, abs=1e-9)
 
     def test_plateau_boundary_attainable(self):
         # target exactly at the group limit of the cap
-        from jurylearn import majority_prob_homogeneous
-
         cap = 0.75
         target = majority_prob_homogeneous(3, cap)
         result = cost_to_reach(CostQuery(3, target, PlateauProfile(2.0, cap)))

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jurylearn import (
-    AllocationRule,
     CommonCoin,
     CompetenceVector,
+    CostQuery,
     DomainError,
     DynamicsConfig,
     ExactMajoritySet,
@@ -27,7 +27,6 @@ from jurylearn import (
     MajorityRule,
     PowerProfile,
     VoteDistribution,
-    competence_curve,
     critical_group_rate,
     derivative_at_half,
     derivative_field,
@@ -42,6 +41,7 @@ from jurylearn import (
 )
 from jurylearn import correlation, votemath
 from jurylearn.cli import run
+from jurylearn.profiles import uniform_grid
 
 NAN, INF = math.nan, math.inf
 
@@ -82,7 +82,7 @@ def config_file(tmp_path_factory):
 # A callable must raise DomainError; an argv tuple must exit 1 with empty stdout.
 REJECTED = {
     "critical_group_rate(3.5)": lambda: critical_group_rate(3.5),
-    "group_competence(total=nan)": lambda: group_competence(LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, NAN),
+    "group_competence(total=nan)": lambda: group_competence(LinearProfile(1.0), 3, NAN),
     "integrate(t_end=inf)": lambda: integrate(_config(t_end=INF)),
     "ExactMajoritySet(3.5)": lambda: ExactMajoritySet(3.5),
     "ExactMajoritySet(nan)": lambda: ExactMajoritySet(NAN),
@@ -95,11 +95,17 @@ REJECTED = {
     "VoteDistribution([nan, 1.0])": lambda: VoteDistribution([NAN, 1.0]),
     "PowerProfile(1).evaluate(nan)": lambda: PowerProfile(1).evaluate(NAN),
     "PowerProfile(inf)": lambda: PowerProfile(INF),
-    "initial_slope(3, inf)": lambda: initial_slope(3, INF, AllocationRule.EQUAL_SPLIT),
+    "initial_slope(3, inf)": lambda: initial_slope(3, INF),
     "derivative_at_half(3.5)": lambda: derivative_at_half(3.5),
     "majority_prob_homogeneous(inf, 0.6)": lambda: majority_prob_homogeneous(INF, 0.6),
     "hoeffding_extremal(inf, 0.5)": lambda: hoeffding_extremal(INF, 0.5),
     "sample_majority_rate(trials=inf)": lambda: sample_majority_rate(ExactMajoritySet(5), INF, 1),
+    "sample_majority_rate(seed=1.5)": lambda: sample_majority_rate(ExactMajoritySet(5), 100, 1.5),
+    "sample_majority_rate(seed=nan)": lambda: sample_majority_rate(ExactMajoritySet(5), 100, NAN),
+    "sample_majority_rate(seed=inf)": lambda: sample_majority_rate(ExactMajoritySet(5), 100, INF),
+    "uniform_grid(inf, 3)": lambda: uniform_grid(INF, 3),
+    "uniform_grid(-1, 3)": lambda: uniform_grid(-1, 3),
+    "CostQuery(3, None)": lambda: CostQuery(3, None, LinearProfile(1.0)),
     "correlate commoncoin n=2.5": _correlate("commoncoin:p=0.6,lambda=0.5,n=2.5"),
     "correlate commoncoin n=inf": _correlate("commoncoin:p=0.6,lambda=0.5,n=inf"),
     "correlate commoncoin n=nan": _correlate("commoncoin:p=0.6,lambda=0.5,n=nan"),
@@ -118,9 +124,6 @@ REJECTED = {
     "majority_prob_heterogeneous(rule='bogus')": lambda: majority_prob_heterogeneous(
         CompetenceVector([0.6, 0.7]), "bogus"
     ),
-    "group_competence(alloc_rule='bogus')": lambda: group_competence(LinearProfile(1.0), 3, "bogus", 1.0),
-    "competence_curve(alloc_rule='bogus')": lambda: competence_curve(LinearProfile(1.0), 3, "bogus", [0.5]),
-    "initial_slope(3, 1.0, 'bogus')": lambda: initial_slope(3, 1.0, "bogus"),
     "derivative_field(nan, .5, .5)": lambda: _derivative(NAN, 0.5, 0.5),
     "derivative_field(inf, .5, .5)": lambda: _derivative(INF, 0.5, 0.5),
     "derivative_field(2.0, .5, .5)": lambda: _derivative(2.0, 0.5, 0.5),
@@ -141,13 +144,7 @@ def test_out_of_domain_input_is_rejected(config_file, case):
 
 
 def test_rule_values_are_normalised_to_members():
-    assert group_competence(LinearProfile(1.0), 3.0, "equal-split", 1.0) == group_competence(
-        LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, 1.0
-    )
-    assert initial_slope(3, 1.0, "equal-split") == initial_slope(3, 1.0, AllocationRule.EQUAL_SPLIT)
-    assert competence_curve(LinearProfile(1.0), 3, "equal-split", [0.3]) == competence_curve(
-        LinearProfile(1.0), 3, AllocationRule.EQUAL_SPLIT, [0.3]
-    )
+    assert group_competence(LinearProfile(1.0), 3.0, 1.0) == group_competence(LinearProfile(1.0), 3, 1.0)
     assert majority_prob_homogeneous(4, 0.6, "fair-coin") == majority_prob_homogeneous(4, 0.6, MajorityRule.FAIR_COIN)
 
 
@@ -166,6 +163,12 @@ def test_integral_sizes_read_alike_in_text(tmp_path):
     assert [code for code, _, _ in runs[1]] == [0, 0, 0]
 
 
+def test_integer_text_seed_keeps_its_stream():
+    # 2**53 + 1 has no float; read through float it would take the stream of 2**53
+    model = CommonCoin(5, 0.6, 0.5)
+    assert sample_majority_rate(model, 2000, "9007199254740993") == sample_majority_rate(model, 2000, 2**53 + 1)
+
+
 def test_tie_rule_is_checked_before_the_fold(monkeypatch):
     monkeypatch.setattr(votemath, "_pmf", None)  # calling the fold now raises TypeError
     for rule in ("bogus", MajorityRule.FAIL):
@@ -176,7 +179,7 @@ def test_tie_rule_is_checked_before_the_fold(monkeypatch):
 def test_power_profile_saturates_without_overflow():
     # t**2 overflows a float for t > ~1.3e154; p(t) = 1 for every t >= 1 anyway
     assert PowerProfile(2).evaluate(1e155) == 1.0
-    assert group_competence(PowerProfile(2.0), 3, AllocationRule.EQUAL_SPLIT, 1e200) == 1.0
+    assert group_competence(PowerProfile(2.0), 3, 1e200) == 1.0
 
 
 def test_sampler_row_blocks_keep_the_stream(monkeypatch):
