@@ -70,6 +70,7 @@ from .votemath import (
     majorizes,
     majority_prob_heterogeneous,
     majority_prob_homogeneous,
+    majority_prob_rows,
     vote_distribution,
 )
 

@@ -16,8 +16,9 @@ compensates float sums from Python 3.12).  States are clipped to [0, 1]
 after each step and the number of clipped components is recorded (it stays
 0 for the global-mean model, whose field points inward).
 
-The group competence along a trajectory is evaluated per sample with the
-exact majority machinery; even group sizes use the fair-coin tie rule.
+The group competence along a trajectory comes from one batched call to the
+exact majority machinery over all stored states; even group sizes use the
+fair-coin tie rule.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple, Sequence
 from . import _checks
 from .csvio import CsvTable
 from .errors import DomainError, IntegrationFailureError, NotConvergedError
-from .votemath import CompetenceVector, MajorityRule, majority_prob_heterogeneous
+from .votemath import MajorityRule, majority_prob_rows
 
 __all__ = [
     "DynamicsConfig",
@@ -146,14 +147,11 @@ def integrate(config: DynamicsConfig) -> Trajectory:
         y = tuple(min(max(x, 0.0), 1.0) for x in y)
         states.append(y)
 
-    group = tuple(
-        majority_prob_heterogeneous(CompetenceVector(s), MajorityRule.FAIR_COIN) for s in states
-    )
     return Trajectory(
         config=config,
         times=tuple(k * h for k in range(steps + 1)),
         states=tuple(states),
-        group_curve=group,
+        group_curve=tuple(majority_prob_rows(states, MajorityRule.FAIR_COIN)),
         clamp_count=clamp_count,
     )
 

@@ -5,7 +5,10 @@ others.  The group decision is correct when more than half the votes are
 correct; for even group sizes a tie rule must be chosen explicitly.  The
 heterogeneous case is the Poisson binomial distribution, evaluated here by
 an O(n^2) convolution DP, which is exact up to float rounding at the group
-sizes this package targets (up to a few thousand voters).
+sizes this package targets (up to a few thousand voters).  The DP is one
+numpy fold vectorized over a batch of juries: each voter is a column, folded
+into every jury's mass at once, so a whole trajectory of group states costs
+one call.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe for unrestricted concurrent use.
@@ -19,6 +22,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import _checks
 from .errors import DomainError, TieRuleRequiredError
 
@@ -29,6 +34,7 @@ __all__ = [
     "vote_distribution",
     "majority_prob_homogeneous",
     "majority_prob_heterogeneous",
+    "majority_prob_rows",
     "derivative_at_half",
     "hoeffding_extremal",
     "majorizes",
@@ -88,24 +94,28 @@ class VoteDistribution:
         return len(self.mass)
 
 
-def _pmf(probs: Sequence[float]) -> list[float]:
-    # Convolution DP: fold one Bernoulli factor in per iteration.  Exact
-    # zeros/ones stay exact because their branch multiplies by 0.0.
-    mass = [1.0]
-    for p in probs:
-        q = 1.0 - p
-        new = [0.0] * (len(mass) + 1)
-        for k, m in enumerate(mass):
-            if m != 0.0:
-                new[k] += m * q
-                new[k + 1] += m * p
-        mass = new
-    return mass
+def _pmf(rows: np.ndarray) -> np.ndarray:
+    # Convolution DP over a (juries, voters) array, one Bernoulli factor per
+    # voter column, folded into every jury at once: cell k becomes
+    # m[k]*q + m[k-1]*p, the same two products and one addition per cell as
+    # a scalar fold, so every mass is the same float.  Exact zeros/ones stay
+    # exact because their branch multiplies by 0.0.  Counts run along the
+    # first axis, so each count's juries are contiguous.
+    juries, voters = rows.shape
+    mass = np.zeros((voters + 1, juries))
+    mass[0] = 1.0
+    up = np.empty_like(mass)
+    for j, (p, q) in enumerate(zip(rows.T, 1.0 - rows.T)):
+        head = mass[: j + 1]
+        np.multiply(head, p, out=up[: j + 1])
+        head *= q
+        mass[1 : j + 2] += up[: j + 1]
+    return mass.T
 
 
 def vote_distribution(p: CompetenceVector) -> VoteDistribution:
     """Exact distribution of the correct-vote count for independent voters."""
-    return VoteDistribution(_pmf(p.probs))
+    return VoteDistribution(_pmf(np.array([p.probs]))[0].tolist())
 
 
 def _check_tie_rule(n: int, rule: MajorityRule) -> None:
@@ -117,11 +127,15 @@ def _check_tie_rule(n: int, rule: MajorityRule) -> None:
 
 
 def _tail_from_mass(mass: Sequence[float], n: int) -> float:
-    # Computed as 1 minus the failure mass so that juries containing a
-    # guaranteed majority of certain voters evaluate to exactly 1.0.
-    fail = math.fsum(mass[: (n + 1) // 2])
-    if n % 2 == 0:
-        fail += 0.5 * mass[n // 2]
+    # A small tail is the winning side's own sum, to full relative precision;
+    # from 1/4 up it is 1 minus the failure mass, so that juries containing
+    # a guaranteed majority of certain voters evaluate to exactly 1.0.
+    half = n // 2
+    tie = 0.5 * mass[half] if n % 2 == 0 else 0.0
+    win = math.fsum(mass[half + 1 :]) + tie
+    if win < 0.25:
+        return win
+    fail = math.fsum(mass[: (n + 1) // 2]) + tie
     return min(max(1.0 - fail, 0.0), 1.0)
 
 
@@ -154,9 +168,29 @@ def majority_prob_heterogeneous(
     Agrees with :func:`majority_prob_homogeneous` when all entries are equal
     and with exhaustive enumeration over the 2^n vote patterns.
     """
-    n = len(p)
+    return majority_prob_rows([p.probs], rule)[0]
+
+
+def majority_prob_rows(
+    states: Sequence[Sequence[float]], rule: MajorityRule = MajorityRule.FAIL
+) -> list[float]:
+    """:func:`majority_prob_heterogeneous` of each row, in one batched fold.
+
+    ``states`` holds one jury per row, every row of the same length n >= 1;
+    each entry must be a finite competence in [0, 1].
+    """
+    try:
+        rows = np.array(states, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("competence rows must be numbers, every row of one length") from None
+    if rows.ndim != 2 or rows.size == 0:
+        raise DomainError(f"expected juries of at least one voter as rows, got shape {rows.shape}")
+    n = rows.shape[1]
     _check_tie_rule(n, rule)
-    return _tail_from_mass(_pmf(p.probs), n)
+    outside = ~((rows >= 0.0) & (rows <= 1.0))  # nan fails both tests
+    if outside.any():
+        raise DomainError(f"competence must lie in [0.0, 1.0], got {float(rows[outside][0])!r}")
+    return [_tail_from_mass(mass, n) for mass in _pmf(rows).tolist()]
 
 
 def derivative_at_half(n: int) -> Fraction:

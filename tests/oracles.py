@@ -1,13 +1,13 @@
 """Independent reference computations used to check the library.
 
 The enumeration oracle walks all 2^n vote patterns explicitly and never
-touches the library's convolution DP; the exact-rational oracle evaluates
-the homogeneous tail in Fraction arithmetic.  ``batch_majority_prob`` is a
-speed helper for large random sweeps (same recurrence as the library,
-vectorized over many juries) and is cross-checked against the library
-inside the tests that use it.  ``numpy_field`` and ``numpy_rk4_states`` are
-the competence dynamics over numpy arrays, whose means use numpy's pairwise
-summation instead of the library's left-to-right float sums.
+touches the library's convolution DP; the exact-rational oracles evaluate
+the homogeneous tail and the per-voter tail in Fraction arithmetic.
+``scalar_pmf`` is the convolution DP as a plain Python loop, one jury at a
+time, against which the library's numpy fold must agree bit for bit.
+``numpy_field`` and ``numpy_rk4_states`` are the competence dynamics over
+numpy arrays, whose means use numpy's pairwise summation instead of the
+library's left-to-right float sums.
 ``frechet_first_violation`` is the pairwise Frechet check as a plain loop
 over the upper triangle, in row-major order.
 """
@@ -69,18 +69,43 @@ def exact_homogeneous_tail(n: int, p: Fraction) -> Fraction:
     )
 
 
-def batch_majority_prob(matrix: np.ndarray) -> np.ndarray:
-    """Majority probability per row for a (m, n) matrix of competences, odd n."""
-    m, n = matrix.shape
-    assert n % 2 == 1
-    mass = np.zeros((m, n + 1))
-    mass[:, 0] = 1.0
-    for j in range(n):
-        p = matrix[:, j][:, None]
-        shifted = np.zeros_like(mass)
-        shifted[:, 1:] = mass[:, :-1]
-        mass = mass * (1.0 - p) + shifted * p
-    return 1.0 - mass[:, : (n + 1) // 2].sum(axis=1)
+def exact_majority_prob(probs, fair_coin: bool = False) -> Fraction:
+    """Pr(correct majority) for per-voter competences, in exact rationals.
+
+    A voter is wrong with probability ``1.0 - p`` rounded to a float, as in
+    the library, so a comparison measures the DP's rounding alone: rounding
+    that complement moves the tail of 301 voters at 0.3 by 1.2e-14 relative.
+    Every float is an integer over a power of two, so the DP runs on integer
+    numerators over one common denominator.
+    """
+    pairs = [(Fraction(p), Fraction(1.0 - p)) for p in map(float, probs)]
+    denom = max(f.denominator for pair in pairs for f in pair)
+    mass = [1]
+    for p, q in pairs:
+        a = p.numerator * (denom // p.denominator)
+        b = q.numerator * (denom // q.denominator)
+        mass = [x * b + y * a for x, y in zip(mass + [0], [0] + mass)]
+    n = len(pairs)
+    result = Fraction(sum(mass[n // 2 + 1 :]), denom**n)
+    if n % 2 == 0 and fair_coin:
+        result += Fraction(mass[n // 2], 2 * denom**n)
+    return result
+
+
+def scalar_pmf(probs) -> list[float]:
+    """Pmf of the correct-vote count by the convolution DP, one voter at a time."""
+    # Convolution DP: fold one Bernoulli factor in per iteration.  Exact
+    # zeros/ones stay exact because their branch multiplies by 0.0.
+    mass = [1.0]
+    for p in probs:
+        q = 1.0 - p
+        new = [0.0] * (len(mass) + 1)
+        for k, m in enumerate(mass):
+            if m != 0.0:
+                new[k] += m * q
+                new[k + 1] += m * p
+        mass = new
+    return mass
 
 
 def sample_many_with_mean(

@@ -131,12 +131,14 @@ class TestIntegrate:
         assert integrate(_config()).clamp_count == 0
 
     def test_group_curve_matches_majority(self):
-        from jurylearn import CompetenceVector, majority_prob_heterogeneous
+        from jurylearn import CompetenceVector, MajorityRule, majority_prob_heterogeneous
 
-        traj = integrate(_config(t_end=2.0))
-        for k in (0, 50, 200):
-            expected = majority_prob_heterogeneous(CompetenceVector(traj.states[k]))
-            assert traj.group_curve[k] == pytest.approx(expected, abs=1e-15)
+        for name in ("drift3", "window4-lowstart"):
+            traj = integrate(load_scenario(name))
+            expected = tuple(
+                majority_prob_heterogeneous(CompetenceVector(s), MajorityRule.FAIR_COIN) for s in traj.states
+            )
+            assert traj.group_curve == expected, name
 
     def test_step_halving_consistency(self):
         a = integrate(_config(t_end=50.0, step=0.01))

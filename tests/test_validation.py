@@ -37,6 +37,7 @@ from jurylearn import (
     integrate,
     majority_prob_heterogeneous,
     majority_prob_homogeneous,
+    majority_prob_rows,
     sample_majority_rate,
 )
 from jurylearn import correlation, votemath
@@ -124,6 +125,12 @@ REJECTED = {
     "majority_prob_heterogeneous(rule='bogus')": lambda: majority_prob_heterogeneous(
         CompetenceVector([0.6, 0.7]), "bogus"
     ),
+    "majority_prob_rows(nan)": lambda: majority_prob_rows([[0.6, 0.7, 0.8], [0.6, NAN, 0.8]]),
+    "majority_prob_rows(inf)": lambda: majority_prob_rows([[0.6, INF, 0.8]]),
+    "majority_prob_rows(1.5)": lambda: majority_prob_rows([[0.6, 0.7, 1.5]]),
+    "majority_prob_rows(-0.1)": lambda: majority_prob_rows([[-0.1, 0.7, 0.8]]),
+    "majority_prob_rows(zero voters)": lambda: majority_prob_rows([[], []]),
+    "majority_prob_rows(ragged rows)": lambda: majority_prob_rows([[0.6, 0.7, 0.8], [0.6]]),
     "derivative_field(nan, .5, .5)": lambda: _derivative(NAN, 0.5, 0.5),
     "derivative_field(inf, .5, .5)": lambda: _derivative(INF, 0.5, 0.5),
     "derivative_field(2.0, .5, .5)": lambda: _derivative(2.0, 0.5, 0.5),
@@ -174,6 +181,8 @@ def test_tie_rule_is_checked_before_the_fold(monkeypatch):
     for rule in ("bogus", MajorityRule.FAIL):
         with pytest.raises(DomainError):
             majority_prob_heterogeneous(CompetenceVector([0.6, 0.7]), rule)
+        with pytest.raises(DomainError):
+            majority_prob_rows([[0.6, 0.7], [0.8, 0.9]], rule)
 
 
 def test_power_profile_saturates_without_overflow():

@@ -1,6 +1,7 @@
 """Majority-probability math against brute-force and exact-rational oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,16 +20,19 @@ from jurylearn import (
     majorizes,
     majority_prob_heterogeneous,
     majority_prob_homogeneous,
+    majority_prob_rows,
     vote_distribution,
 )
+from jurylearn import votemath
 
 from oracles import (
-    batch_majority_prob,
     enumerate_distribution,
     enumerate_majority_prob,
     exact_homogeneous_tail,
+    exact_majority_prob,
     sample_many_with_mean,
     sample_with_mean,
+    scalar_pmf,
 )
 
 probs_lists = st.lists(
@@ -198,6 +202,64 @@ class TestHeterogeneous:
             exact = enumerate_majority_prob(probs, fair_coin=True)
             assert got == pytest.approx(exact, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "probs, rule",
+        [
+            ([0.1] * 101, MajorityRule.FAIL),  # 1.15e-24, below a 1 - fail floor
+            ([0.3] * 301, MajorityRule.FAIL),  # 2.08e-13, where 1 - fail is 8% off
+            ([0.15] * 60 + [0.25] * 40, MajorityRule.FAIR_COIN),  # 1.13e-12, half a tie
+        ],
+        ids=["0.1x101", "0.3x301", "mixed-even-100"],
+    )
+    def test_small_tail_keeps_relative_precision(self, probs, rule):
+        got = majority_prob_heterogeneous(CompetenceVector(probs), rule)
+        exact = exact_majority_prob(probs, fair_coin=rule is MajorityRule.FAIR_COIN)
+        assert abs(Fraction(got) - exact) <= 1e-14 * exact
+        if len(set(probs)) == 1:
+            hom = majority_prob_homogeneous(len(probs), probs[0])
+            assert abs(got - hom) <= 1e-14 * hom
+
+    @pytest.mark.parametrize("a", [3, 4, 5])
+    def test_three_thousand_and_one_equal_voters(self, a):
+        # p = a/8 is dyadic, so the exact tail is a ratio of big integers;
+        # at a = 3 it is 2.5e-44
+        n = 3001
+        got = majority_prob_heterogeneous(CompetenceVector([a / 8] * n))
+        top = sum(math.comb(n, k) * a**k * (8 - a) ** (n - k) for k in range(n // 2 + 1, n + 1))
+        exact = Fraction(top, 8**n)
+        assert abs(Fraction(got) - exact) <= 1e-14 * exact
+
+
+def _random_competences(rng, n):
+    # uniform draws mixed with exact 0/1, a tiny normal and subnormals
+    special = (0.0, 1.0, 1e-300, 5e-324, 2.5e-310, 1.0 - 2**-53)
+    return [rng.choice(special) if rng.random() < 0.2 else rng.random() for _ in range(n)]
+
+
+class TestBatchedFold:
+    def test_fold_matches_scalar_loop_bit_for_bit(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            probs = _random_competences(rng, rng.randint(1, 200))
+            assert votemath._pmf(np.array([probs]))[0].tolist() == scalar_pmf(probs)
+
+    def test_rows_match_single_juries_bit_for_bit(self):
+        rng = random.Random(7)
+        for n in (1, 2, 3, 4, 7, 10, 51, 200):
+            rows = [_random_competences(rng, n) for _ in range(25)]
+            batched = majority_prob_rows(rows, MajorityRule.FAIR_COIN)
+            single = [majority_prob_heterogeneous(CompetenceVector(r), MajorityRule.FAIR_COIN) for r in rows]
+            scalar = [votemath._tail_from_mass(scalar_pmf(r), n) for r in rows]
+            assert batched == single == scalar
+
+    def test_rows_keep_the_tie_rule(self):
+        with pytest.raises(TieRuleRequiredError):
+            majority_prob_rows([[0.6, 0.7]])
+        assert majority_prob_rows([[0.6, 0.7, 0.8], [1.0, 1.0, 0.0]]) == [
+            majority_prob_heterogeneous(CompetenceVector((0.6, 0.7, 0.8))),
+            1.0,
+        ]
+
 
 class TestHeterogeneityDominance:
     """A mixed jury beats the uniform jury with the same mean competence.
@@ -288,11 +350,7 @@ class TestHoeffdingExtremal:
             target = majority_prob_heterogeneous(hoeffding_extremal(n, pbar))
             assert target == 1.0
             rivals = sample_many_with_mean(rng, 1000, n, pbar)
-            rival_probs = batch_majority_prob(rivals)
-            # paranoia: the vectorized helper agrees with the library
-            check = majority_prob_heterogeneous(CompetenceVector(rivals[0]))
-            assert rival_probs[0] == pytest.approx(check, abs=1e-12)
-            assert float(rival_probs.max()) <= target + 1e-12
+            assert max(majority_prob_rows(rivals)) <= target + 1e-12
 
     def test_not_optimal_below_majority_mean(self):
         # at mean 0.6 < 2/3 the construction (1, 0.8, 0) loses to (0.9, 0.9, 0)
