@@ -63,7 +63,6 @@ from .tradeoff import (
 from .votemath import (
     CompetenceVector,
     MajorityRule,
-    VoteDistribution,
     concentration_failure_bound,
     derivative_at_half,
     hoeffding_extremal,

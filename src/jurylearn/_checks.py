@@ -1,17 +1,20 @@
 """Domain checks and the text grammar shared by the public entry points.
 
-Each check returns its value as ``int``, ``float`` or an enum member, or
-raises DomainError; nan and +-inf fail every numeric test below.  The
-numeric checks take text as well as numbers (``count("3.0")`` is 3), and
-text that is not a number fails like any other out-of-domain value, so
-parsers hand field text straight to the constructors that check it.
-``spec`` splits the one ``kind:key=value,...`` form used by profiles and
-vote models.
+Each check returns its value as ``int``, ``float``, an enum member or
+(``competences``, the jury check) a numpy matrix, or raises DomainError;
+nan, +-inf and integers too large for a float (read as +-inf, like their
+text) fail every float test below.  The numeric checks take text as well
+as numbers (``count("3.0")`` is 3), and text that is not a number fails
+like any other out-of-domain value, so parsers hand field text straight to
+the constructors that check it.  ``items`` and ``spec`` split the comma
+lists and ``kind:key=value,...`` forms of juries, profiles and vote models.
 """
 
 import math
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -19,6 +22,8 @@ from .errors import DomainError
 def _number(value, name: str) -> float:
     try:
         return float(value)
+    except OverflowError:  # an int too large for a float, like float("1e400")
+        return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
 
@@ -65,6 +70,33 @@ def non_negative(value, name: str) -> float:
     return x
 
 
+def competences(rows: Sequence[Sequence], name: str) -> np.ndarray:
+    """Juries as rows of competences in [0, 1], as one float matrix.
+
+    An entry that is not a number, uneven rows, a jury of no voters and any
+    value outside [0, 1] raise DomainError; a value is reported as the float
+    it reads as, so text and numbers get one message.
+    """
+    try:
+        matrix = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # read entry by entry to say why
+        try:
+            floats = [[_number(x, name) for x in row] for row in rows]
+        except TypeError:  # a bare number among the rows
+            floats = []
+        matrix = np.array(floats) if len(set(map(len, floats))) == 1 else np.empty(0)
+    if matrix.ndim != 2:
+        raise DomainError(f"expected rows of {name} values, all of one length")
+    if matrix.shape[1] == 0:
+        raise DomainError("a jury needs at least one voter")
+    outside = ~((matrix >= 0.0) & (matrix <= 1.0))  # nan fails both tests
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        x = _number(rows[i][j], name)  # numpy reads None as nan; it is not a number
+        raise DomainError(f"{name} must lie in [0.0, 1.0], got {x!r}")
+    return matrix
+
+
 def time_grid(values: Iterable[float]) -> list[float]:
     """Non-negative finite times in ascending order, as floats."""
     grid = [non_negative(t, "time grid entry") for t in values]
@@ -81,6 +113,11 @@ def member(value, enum_cls: type[Enum], name: str) -> Enum:
         raise DomainError(f"{name} must be one of {[m.value for m in enum_cls]}, got {value!r}") from None
 
 
+def items(text: str) -> list[str]:
+    """The comma-separated items of ``text``; empty text has none."""
+    return text.split(",") if text else []
+
+
 def spec(text: str, what: str, kinds: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, str]]:
     """Split ``kind:key=value,...`` into its kind and the text of each field.
 
@@ -94,7 +131,7 @@ def spec(text: str, what: str, kinds: dict[str, tuple[str, ...]]) -> tuple[str, 
         raise DomainError(f"unknown {what} kind {kind!r} (expected {'/'.join(kinds)})")
     fields: dict[str, str] = {}
     key = None
-    for item in body.split(",") if body else []:
+    for item in items(body):
         name, eq, value = item.partition("=")
         if not eq:
             if key is None:

@@ -53,10 +53,10 @@ def _cmd_majority(args) -> str:
     if (args.probs is None) == (args.n is None):
         raise DomainError("specify either --n/--p or --probs")
     if args.probs is not None:
-        value = majority_prob_heterogeneous(CompetenceVector(args.probs.split(",")), args.tie_break)
+        value = majority_prob_heterogeneous(CompetenceVector(_checks.items(args.probs)), args.tie_break)
+    elif args.p is None:
+        raise DomainError("--n requires --p")
     else:
-        if args.p is None:
-            raise DomainError("--n requires --p")
         value = majority_prob_homogeneous(args.n, args.p, args.tie_break)
     return _render_float(value) + "\n"
 
@@ -67,7 +67,7 @@ def _cmd_extremal(args) -> str:
 
 
 def _cmd_majorize(args) -> str:
-    result = majorizes(CompetenceVector(args.a.split(",")), CompetenceVector(args.b.split(",")))
+    result = majorizes(CompetenceVector(_checks.items(args.a)), CompetenceVector(_checks.items(args.b)))
     return ("true" if result else "false") + "\n"
 
 
@@ -80,13 +80,7 @@ def _read_cov_file(path: str):
         raise DomainError(f"cannot read covariance file: {exc}") from None
     size, *entries = tokens or [""]
     n = _checks.count(size, "covariance size")
-    try:  # the entries form one matrix, which CovarianceSpec checks as a whole
-        values = [float(x) for x in entries]
-    except ValueError:
-        raise DomainError(f"malformed covariance file {path!r}") from None
-    if len(values) != n * n:
-        raise DomainError(f"expected {n}x{n} covariance entries, got {len(values)}")
-    return n, [values[i * n : (i + 1) * n] for i in range(n)]
+    return [entries[i : i + n] for i in range(0, len(entries), n)]  # CovarianceSpec checks the shape
 
 
 def _cmd_bound(args) -> str:
@@ -96,11 +90,8 @@ def _cmd_bound(args) -> str:
         return _render_float(concentration_failure_bound(args.n, args.pbar)) + "\n"
     if args.probs is None or args.cov is None:
         raise DomainError("bound ladha requires --probs and --cov FILE")
-    probs = CompetenceVector(args.probs.split(","))
-    n, matrix = _read_cov_file(args.cov)
-    if n != len(probs):
-        raise DomainError(f"covariance size {n} does not match {len(probs)} probabilities")
-    return _render_float(ladha_bound(CovarianceSpec(probs, matrix))) + "\n"
+    probs = CompetenceVector(_checks.items(args.probs))
+    return _render_float(ladha_bound(CovarianceSpec(probs, _read_cov_file(args.cov)))) + "\n"
 
 
 def _cmd_rates(args) -> str:

@@ -66,7 +66,10 @@ class CovarianceSpec:
     cov: np.ndarray = field(repr=False)
 
     def __init__(self, p: CompetenceVector, cov: np.ndarray):
-        matrix = np.array(cov, dtype=float)
+        try:
+            matrix = np.array(cov, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("covariance entries must be finite numbers, every row of one length") from None
         n = len(p)
         if matrix.shape != (n, n):
             raise DomainError(f"covariance must be {n}x{n}, got {matrix.shape}")
@@ -236,7 +239,7 @@ def parse_model(spec: str) -> CorrelatedVoteModel:
     """
     kind, fields = _checks.spec(spec, "model", _MODEL_FIELDS)
     if kind == "independent":
-        return Independent(CompetenceVector(fields["probs"].split(",")))
+        return Independent(CompetenceVector(_checks.items(fields["probs"])))
     if kind == "commoncoin":
         return CommonCoin(n=fields["n"], p=fields["p"], mix=fields["lambda"])
     return ExactMajoritySet(n=fields["n"])

@@ -68,7 +68,7 @@ class DynamicsConfig:
 
     def __post_init__(self):
         n = _checks.count(self.n, "number of voters")
-        initial = tuple(_checks.within(x, "initial competence") for x in self.initial)
+        initial = tuple(_checks.competences([list(self.initial)], "initial competence")[0].tolist())
         if len(initial) != n:
             raise DomainError(f"expected {n} initial competences, got {len(initial)}")
         t_end = _checks.non_negative(self.t_end, "end time")
@@ -99,7 +99,7 @@ def _field(config: DynamicsConfig, state: tuple[float, ...]) -> tuple[float, ...
 
 def derivative_field(config: DynamicsConfig, state: Sequence[float]) -> tuple[float, ...]:
     """Instantaneous competence derivatives at ``state``."""
-    values = tuple(_checks.within(x, "competence") for x in state)
+    values = tuple(_checks.competences([list(state)], "competence")[0].tolist())
     if len(values) != config.n:
         raise DomainError(f"expected a state of length {config.n}, got {len(values)}")
     return _field(config, values)
@@ -180,7 +180,7 @@ def classify_outcome(traj: Trajectory, tol: float = 0.01) -> Outcome:
     together with gaps <= 2*tol form one cluster; the outcome is consensus
     when every voter ends within tol of 1.
     """
-    _checks.positive(tol, "tolerance")
+    tol = _checks.positive(tol, "tolerance")
     final = traj.final_state
     speed = max(abs(d) for d in derivative_field(traj.config, final))
     if speed >= tol:
@@ -239,7 +239,7 @@ def parse_dynamics_config(text: str) -> DynamicsConfig:
     window = entries.get("window", "none")
     return DynamicsConfig(
         n=entries["n"],
-        initial=entries["initial"].split(","),
+        initial=_checks.items(entries["initial"]),
         leader_gain=entries["kappa"],
         t_end=entries["t_end"],
         step=entries["step"],

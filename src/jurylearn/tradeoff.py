@@ -65,6 +65,7 @@ def asymptotic_rate_check(n: int, kind: str = "expert") -> AsymptoticCheck:
     and shrinks monotonically) or ``critical`` (asymptote sqrt(n*pi/2); the
     exact value sits below the asymptote, so the gap is negative).
     """
+    n = _checks.count(n, "group size", odd=True)
     if kind == "expert":
         exact, asymptote = expert_threshold(n), math.sqrt(2.0 * n / math.pi)
     elif kind == "critical":

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .errors import DomainError, TieRuleRequiredError
 __all__ = [
     "CompetenceVector",
     "MajorityRule",
-    "VoteDistribution",
     "vote_distribution",
     "majority_prob_homogeneous",
     "majority_prob_heterogeneous",
@@ -61,10 +61,8 @@ class CompetenceVector:
     probs: tuple[float, ...]
 
     def __init__(self, probs: Iterable[float]):
-        values = tuple(_checks.within(p, "competence") for p in probs)
-        if not values:
-            raise DomainError("a jury needs at least one voter")
-        object.__setattr__(self, "probs", values)
+        row = _checks.competences([list(probs)], "competence")[0]
+        object.__setattr__(self, "probs", tuple(row.tolist()))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -75,23 +73,6 @@ class CompetenceVector:
     def mean(self) -> float:
         """Average competence, exactly rounded."""
         return math.fsum(self.probs) / len(self.probs)
-
-
-@dataclass(frozen=True)
-class VoteDistribution:
-    """Distribution of the number of correct votes: ``mass[k] = Pr(Z_n = k)``."""
-
-    mass: tuple[float, ...]
-
-    def __init__(self, mass: Iterable[float]):
-        values = tuple(_checks.non_negative(m, "probability mass") for m in mass)
-        total = math.fsum(values)
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"masses must sum to 1 within 1e-12, got {total!r}")
-        object.__setattr__(self, "mass", values)
-
-    def __len__(self) -> int:
-        return len(self.mass)
 
 
 def _pmf(rows: np.ndarray) -> np.ndarray:
@@ -113,9 +94,9 @@ def _pmf(rows: np.ndarray) -> np.ndarray:
     return mass.T
 
 
-def vote_distribution(p: CompetenceVector) -> VoteDistribution:
-    """Exact distribution of the correct-vote count for independent voters."""
-    return VoteDistribution(_pmf(np.array([p.probs]))[0].tolist())
+def vote_distribution(p: CompetenceVector) -> tuple[float, ...]:
+    """Exact distribution of the correct-vote count: ``mass[k] = Pr(Z_n = k)``."""
+    return tuple(_pmf(np.array([p.probs]))[0].tolist())
 
 
 def _check_tie_rule(n: int, rule: MajorityRule) -> None:
@@ -177,19 +158,11 @@ def majority_prob_rows(
     """:func:`majority_prob_heterogeneous` of each row, in one batched fold.
 
     ``states`` holds one jury per row, every row of the same length n >= 1;
-    each entry must be a finite competence in [0, 1].
+    ``_checks.competences`` checks every entry, as for ``CompetenceVector``.
     """
-    try:
-        rows = np.array(states, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("competence rows must be numbers, every row of one length") from None
-    if rows.ndim != 2 or rows.size == 0:
-        raise DomainError(f"expected juries of at least one voter as rows, got shape {rows.shape}")
+    rows = _checks.competences(states, "competence")
     n = rows.shape[1]
     _check_tie_rule(n, rule)
-    outside = ~((rows >= 0.0) & (rows <= 1.0))  # nan fails both tests
-    if outside.any():
-        raise DomainError(f"competence must lie in [0.0, 1.0], got {float(rows[outside][0])!r}")
     return [_tail_from_mass(mass, n) for mass in _pmf(rows).tolist()]
 
 
@@ -230,14 +203,9 @@ def majorizes(a: CompetenceVector, b: CompetenceVector) -> bool:
     """
     if len(a) != len(b):
         raise DomainError(f"length mismatch: {len(a)} vs {len(b)}")
-    prefix_a = 0.0
-    prefix_b = 0.0
-    for pa, pb in zip(sorted(a.probs, reverse=True), sorted(b.probs, reverse=True)):
-        prefix_a += pa
-        prefix_b += pb
-        if prefix_a < prefix_b:
-            return False
-    return True
+    prefix_a = accumulate(sorted(a.probs, reverse=True))
+    prefix_b = accumulate(sorted(b.probs, reverse=True))
+    return all(x >= y for x, y in zip(prefix_a, prefix_b))
 
 
 def concentration_failure_bound(n: int, pbar: float) -> float:

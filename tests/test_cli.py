@@ -66,6 +66,12 @@ class TestScalarCommands:
         code, out, err = invoke(capsys, "bound", "ladha", "--probs", "0.6,0.6", "--cov", str(cov))
         assert code == 1 and out == ""
 
+    def test_bound_ladha_size_is_checked_by_the_covariance(self, capsys, tmp_path):
+        cov = tmp_path / "cov.txt"
+        cov.write_text("2\n0.24 0\n0 0.24\n")
+        code, out, err = invoke(capsys, "bound", "ladha", "--probs", "0.6,0.6,0.6", "--cov", str(cov))
+        assert (code, out, err) == (1, "", "error: covariance must be 3x3, got (2, 2)\n")
+
 
 class TestRates:
     def test_critical_table(self, capsys):

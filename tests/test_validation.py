@@ -26,7 +26,8 @@ from jurylearn import (
     LinearProfile,
     MajorityRule,
     PowerProfile,
-    VoteDistribution,
+    asymptotic_rate_check,
+    classify_outcome,
     critical_group_rate,
     derivative_at_half,
     derivative_field,
@@ -93,7 +94,6 @@ REJECTED = {
     "DynamicsConfig(step=inf)": lambda: _config(step=INF),
     "DynamicsConfig(t_end=1e9, step=1e-9)": lambda: _config(t_end=1e9, step=1e-9),
     "simulate --config with 1e18 steps": ("simulate", "--config", "{config}"),
-    "VoteDistribution([nan, 1.0])": lambda: VoteDistribution([NAN, 1.0]),
     "PowerProfile(1).evaluate(nan)": lambda: PowerProfile(1).evaluate(NAN),
     "PowerProfile(inf)": lambda: PowerProfile(INF),
     "initial_slope(3, inf)": lambda: initial_slope(3, INF),
@@ -136,6 +136,9 @@ REJECTED = {
     "derivative_field(2.0, .5, .5)": lambda: _derivative(2.0, 0.5, 0.5),
     "figure_table(inf)": lambda: figure_table(INF),
     "figure_table(2.7)": lambda: figure_table(2.7),
+    "majority_prob_homogeneous(3, 10**400)": lambda: majority_prob_homogeneous(3, 10**400),
+    "LinearProfile(10**400)": lambda: LinearProfile(10**400),
+    "CompetenceVector([10**400])": lambda: CompetenceVector([10**400]),
 }
 
 
@@ -148,6 +151,63 @@ def test_out_of_domain_input_is_rejected(config_file, case):
         code, out, err = cli(*(arg.replace("{config}", config_file) for arg in case))
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+
+# -- one competence check behind every jury ------------------------------------
+#
+# Each bad jury goes to every entry point that takes competences, as numbers
+# to the library and as comma-separated text to the command line; all of
+# them refuse it with one message, naming the field a config calls
+# "initial competence".
+
+BAD_JURIES = {
+    "1.5": ([1.5], "{} must lie in [0.0, 1.0], got 1.5"),
+    "nan": ([NAN], "{} must lie in [0.0, 1.0], got nan"),
+    "'x'": (["x"], "{} must be a number, got 'x'"),
+    "10**400": ([10**400], "{} must lie in [0.0, 1.0], got inf"),
+    "no voters": ([], "a jury needs at least one voter"),
+}
+
+JURY_ENTRY_POINTS = {
+    "CompetenceVector": lambda jury: CompetenceVector(jury),
+    "majority_prob_rows": lambda jury: majority_prob_rows([jury]),
+    "DynamicsConfig": lambda jury: _config(initial=jury),
+    "derivative_field": lambda jury: derivative_field(_config(), jury),
+}
+
+JURY_COMMANDS = {
+    "majority --probs": lambda text: ("majority", f"--probs={text}"),
+    "correlate independent": lambda text: _correlate(f"independent:probs={text}"),
+    "bound ladha --probs": lambda text: ("bound", "ladha", f"--probs={text}", "--cov", "{cov}"),
+    "simulate --config": lambda text: ("simulate", "--config", "{config}"),
+}
+
+
+@pytest.mark.parametrize("jury_id", BAD_JURIES)
+def test_a_bad_jury_gets_one_message_everywhere(tmp_path, cov_file, jury_id):
+    jury, message = BAD_JURIES[jury_id]
+    text = ",".join(map(str, jury))
+    config = tmp_path / "jury.cfg"
+    config.write_text(f"n = 1\ninitial = {text}\nkappa = 0.1\nt_end = 0.5\nstep = 0.1\n")
+    got, expected = {}, {}
+    for name, call in JURY_ENTRY_POINTS.items():
+        with pytest.raises(DomainError) as info:
+            call(jury)
+        got[name] = str(info.value)
+        expected[name] = message.format("initial competence" if name == "DynamicsConfig" else "competence")
+    for name, argv in JURY_COMMANDS.items():
+        argv = (a.replace("{cov}", cov_file).replace("{config}", str(config)) for a in argv(text))
+        got[name] = cli(*argv)
+        field = "initial competence" if name == "simulate --config" else "competence"
+        expected[name] = (1, "", f"error: {message.format(field)}\n")
+    assert got == expected
+
+
+def test_checked_text_is_the_value_used():
+    settled = integrate(_config(leader_gain=0.0))
+    assert classify_outcome(settled, "0.01") == classify_outcome(settled, 0.01)
+    for kind in ("expert", "critical"):
+        assert asymptotic_rate_check("5", kind) == asymptotic_rate_check(5, kind)
 
 
 def test_rule_values_are_normalised_to_members():

@@ -59,25 +59,25 @@ class TestCompetenceVector:
 class TestVoteDistribution:
     def test_fair_pair(self):
         dist = vote_distribution(CompetenceVector((0.5, 0.5)))
-        assert dist.mass == pytest.approx((0.25, 0.5, 0.25), abs=1e-15)
+        assert dist == pytest.approx((0.25, 0.5, 0.25), abs=1e-15)
 
     def test_deterministic_votes(self):
         dist = vote_distribution(CompetenceVector((1.0, 0.0)))
-        assert dist.mass == (0.0, 1.0, 0.0)
+        assert dist == (0.0, 1.0, 0.0)
 
     def test_three_voters_binomial(self):
         # binomial expansion: (0.3 + 0.7 x)^3
         dist = vote_distribution(CompetenceVector((0.7, 0.7, 0.7)))
-        assert dist.mass == pytest.approx((0.027, 0.189, 0.441, 0.343), abs=1e-12)
+        assert dist == pytest.approx((0.027, 0.189, 0.441, 0.343), abs=1e-12)
 
     @settings(max_examples=200)
     @given(probs_lists)
     def test_matches_enumeration_and_sums_to_one(self, probs):
         dist = vote_distribution(CompetenceVector(probs))
-        assert math.fsum(dist.mass) == pytest.approx(1.0, abs=1e-12)
-        assert all(m >= 0.0 for m in dist.mass)
+        assert math.fsum(dist) == pytest.approx(1.0, abs=1e-12)
+        assert all(m >= 0.0 for m in dist)
         expected = enumerate_distribution(probs)
-        assert dist.mass == pytest.approx(expected, abs=1e-12)
+        assert dist == pytest.approx(expected, abs=1e-12)
 
 
 class TestHomogeneous:
