@@ -19,13 +19,20 @@ import numpy as np
 from .errors import DomainError
 
 
-def _number(value, name: str) -> float:
+def number(value, name: str) -> float:
     try:
         return float(value)
     except OverflowError:  # an int too large for a float, like float("1e400")
         return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a message; an int beyond float range shows as the +-inf it reads as."""
+    if isinstance(value, int) and math.isinf(x := number(value, "")):
+        return repr(x)
+    return repr(value)
 
 
 def count(value, name: str, *, minimum: int = 1, odd: bool = False) -> int:
@@ -36,37 +43,37 @@ def count(value, name: str, *, minimum: int = 1, odd: bool = False) -> int:
         except ValueError:
             pass
     if not isinstance(value, int):
-        x = _number(value, name)
+        x = number(value, name)
         if not x.is_integer():
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+            raise DomainError(f"{name} must be an integer, got {shown(value)}")
         value = int(x)
     if value < minimum or (odd and value % 2 == 0):
         kind = "an odd integer" if odd else "an integer"
-        raise DomainError(f"{name} must be {kind} >= {minimum}, got {value!r}")
+        raise DomainError(f"{name} must be {kind} >= {minimum}, got {shown(value)}")
     return value
 
 
 def within(value, name: str, lo: float = 0.0, hi: float = 1.0) -> float:
     """A float in the closed interval [lo, hi]."""
-    x = _number(value, name)
+    x = number(value, name)
     if not lo <= x <= hi:
-        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {shown(value)}")
     return x
 
 
 def positive(value, name: str) -> float:
     """A finite float > 0."""
-    x = _number(value, name)
+    x = number(value, name)
     if not 0.0 < x < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        raise DomainError(f"{name} must be positive and finite, got {shown(value)}")
     return x
 
 
 def non_negative(value, name: str) -> float:
     """A finite float >= 0."""
-    x = _number(value, name)
+    x = number(value, name)
     if not 0.0 <= x < math.inf:
-        raise DomainError(f"{name} must be non-negative and finite, got {value!r}")
+        raise DomainError(f"{name} must be non-negative and finite, got {shown(value)}")
     return x
 
 
@@ -81,7 +88,7 @@ def competences(rows: Sequence[Sequence], name: str) -> np.ndarray:
         matrix = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):  # read entry by entry to say why
         try:
-            floats = [[_number(x, name) for x in row] for row in rows]
+            floats = [[number(x, name) for x in row] for row in rows]
         except TypeError:  # a bare number among the rows
             floats = []
         matrix = np.array(floats) if len(set(map(len, floats))) == 1 else np.empty(0)
@@ -92,7 +99,7 @@ def competences(rows: Sequence[Sequence], name: str) -> np.ndarray:
     outside = ~((matrix >= 0.0) & (matrix <= 1.0))  # nan fails both tests
     if outside.any():
         i, j = np.argwhere(outside)[0]
-        x = _number(rows[i][j], name)  # numpy reads None as nan; it is not a number
+        x = number(rows[i][j], name)  # numpy reads None as nan; it is not a number
         raise DomainError(f"{name} must lie in [0.0, 1.0], got {x!r}")
     return matrix
 

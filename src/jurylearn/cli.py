@@ -13,10 +13,11 @@ Subcommands (all write to stdout, or to a file via ``--out``):
     correlate   Monte Carlo majority rate under a correlated vote model
     figure      data series behind the standard plots (ids 1..8)
 
-Domain errors and an ``--out`` file that cannot be written exit with code 1
-and a one-line message on stderr; bad flags exit with code 2.  Output is
-fully built before anything is written, so a failing command never leaves
-partial CSV on stdout.
+Each handler returns a ``CsvTable`` or, for a bare value, one row of cells;
+``run`` renders it once through ``csvio``.  Domain errors and an ``--out``
+file that cannot be written exit with code 1 and a one-line message on
+stderr; bad flags exit with code 2.  Output is fully rendered before anything
+is written, so a failing command never leaves partial CSV on stdout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 
 from . import _checks
 from .correlation import CovarianceSpec, ladha_bound, parse_model, sample_majority_rate
-from .csvio import CsvTable
+from .csvio import CsvTable, render_row
 from .dynamics import integrate, load_scenario, parse_dynamics_config, trajectory_table
 from .errors import DomainError, IntegrationFailureError, NotConvergedError
 from .figures import FIGURE_IDS, figure_table
@@ -35,6 +36,7 @@ from .profiles import parse_profile, uniform_grid
 from .tradeoff import asymptotic_rate_check, cost_curve, fixed_budget_compare
 from .votemath import (
     CompetenceVector,
+    MajorityRule,
     concentration_failure_bound,
     hoeffding_extremal,
     majorizes,
@@ -45,98 +47,86 @@ from .votemath import (
 __all__ = ["run", "main"]
 
 
-def _render_float(x: float) -> str:
-    return repr(float(x))
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {what} file: {exc}") from None
 
 
-def _cmd_majority(args) -> str:
+def _cmd_majority(args) -> tuple[float]:
     if (args.probs is None) == (args.n is None):
         raise DomainError("specify either --n/--p or --probs")
     if args.probs is not None:
-        value = majority_prob_heterogeneous(CompetenceVector(_checks.items(args.probs)), args.tie_break)
-    elif args.p is None:
+        return (majority_prob_heterogeneous(CompetenceVector(_checks.items(args.probs)), args.tie_break),)
+    if args.p is None:
         raise DomainError("--n requires --p")
-    else:
-        value = majority_prob_homogeneous(args.n, args.p, args.tie_break)
-    return _render_float(value) + "\n"
+    return (majority_prob_homogeneous(args.n, args.p, args.tie_break),)
 
 
-def _cmd_extremal(args) -> str:
-    jury = hoeffding_extremal(args.n, args.pbar)
-    return ",".join(_render_float(p) for p in jury.probs) + "\n"
+def _cmd_extremal(args) -> tuple[float, ...]:
+    return hoeffding_extremal(args.n, args.pbar).probs
 
 
-def _cmd_majorize(args) -> str:
+def _cmd_majorize(args) -> tuple[bool]:
     result = majorizes(CompetenceVector(_checks.items(args.a)), CompetenceVector(_checks.items(args.b)))
-    return ("true" if result else "false") + "\n"
+    return (result,)
 
 
 def _read_cov_file(path: str):
     # Plain text: first line n, then n lines of n numbers.
-    try:
-        with open(path) as fh:
-            tokens = fh.read().split()
-    except OSError as exc:
-        raise DomainError(f"cannot read covariance file: {exc}") from None
-    size, *entries = tokens or [""]
+    size, *entries = _read_text(path, "covariance").split() or [""]
     n = _checks.count(size, "covariance size")
     return [entries[i : i + n] for i in range(0, len(entries), n)]  # CovarianceSpec checks the shape
 
 
-def _cmd_bound(args) -> str:
+def _cmd_bound(args) -> tuple[float]:
     if args.kind == "concentration":
         if args.n is None or args.pbar is None:
             raise DomainError("bound concentration requires --n and --pbar")
-        return _render_float(concentration_failure_bound(args.n, args.pbar)) + "\n"
+        return (concentration_failure_bound(args.n, args.pbar),)
     if args.probs is None or args.cov is None:
         raise DomainError("bound ladha requires --probs and --cov FILE")
     probs = CompetenceVector(_checks.items(args.probs))
-    return _render_float(ladha_bound(CovarianceSpec(probs, _read_cov_file(args.cov)))) + "\n"
+    return (ladha_bound(CovarianceSpec(probs, _read_cov_file(args.cov))),)
 
 
-def _cmd_rates(args) -> str:
+def _cmd_rates(args) -> CsvTable:
     n_max = _checks.count(args.n_max, "--n-max")
-    rows = []
-    for n in range(1, n_max + 1, 2):
-        check = asymptotic_rate_check(n, args.kind)
-        rows.append((n, check.exact, float(check.exact), check.asymptote))
-    return CsvTable(("n", "exact", "value", "asymptote"), rows).render()
+    checks = {n: asymptotic_rate_check(n, args.kind) for n in range(1, n_max + 1, 2)}
+    rows = [(n, check.exact, float(check.exact), check.asymptote) for n, check in checks.items()]
+    return CsvTable(("n", "exact", "value", "asymptote"), rows)
 
 
-def _cmd_tradeoff(args) -> str:
+def _cmd_tradeoff(args) -> CsvTable:
     rows = fixed_budget_compare(args.c1, args.cg, args.n, uniform_grid(args.t_max, args.points))
-    return CsvTable(("T", "P_single", "P_group"), rows).render()
+    return CsvTable(("T", "P_single", "P_group"), rows)
 
 
-def _cmd_cost(args) -> str:
+def _cmd_cost(args) -> CsvTable:
     profile = parse_profile(args.profile)
     rows = cost_curve(args.pstar, args.n_list.split(","), lambda n: profile)
-    return CsvTable(("n", "cost"), rows).render()
+    return CsvTable(("n", "cost"), rows)
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> CsvTable:
     if (args.scenario is None) == (args.config is None):
         raise DomainError("specify exactly one of --scenario or --config")
     if args.scenario is not None:
         config = load_scenario(args.scenario)
     else:
-        try:
-            with open(args.config) as fh:
-                config = parse_dynamics_config(fh.read())
-        except OSError as exc:
-            raise DomainError(f"cannot read config file: {exc}") from None
-    return trajectory_table(integrate(config)).render()
+        config = parse_dynamics_config(_read_text(args.config, "config"))
+    return trajectory_table(integrate(config))
 
 
-def _cmd_correlate(args) -> str:
-    model = parse_model(args.model)
-    result = sample_majority_rate(model, args.trials, args.seed)
-    table = CsvTable(("estimate", "stderr"), [(result.estimate, result.stderr)])
-    return table.render()
+def _cmd_correlate(args) -> CsvTable:
+    result = sample_majority_rate(parse_model(args.model), args.trials, args.seed)
+    return CsvTable(("estimate", "stderr"), [result])
 
 
-def _cmd_figure(args) -> str:
-    return figure_table(args.id).render()
+def _cmd_figure(args) -> CsvTable:
+    return figure_table(args.id)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", help="comma-separated per-voter competences")
     p.add_argument(
         "--tie-break",
-        choices=["fail", "fair-coin"],
-        default="fail",
+        choices=[rule.value for rule in MajorityRule],
+        default=MajorityRule.FAIL.value,
         help="tie rule for even group sizes (default: refuse)",
     )
 
@@ -212,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     """Execute one command line; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        output = args.handler(args)
+        result = args.handler(args)
+        output = result.render() if isinstance(result, CsvTable) else render_row(result)
     except (DomainError, NotConvergedError, IntegrationFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -236,7 +226,6 @@ def run(argv: list[str]) -> int:
         except BrokenPipeError:
             # downstream consumer (e.g. `head`) closed the pipe; exit quietly
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
     return 0
 
 

@@ -13,8 +13,8 @@ Two tractable generative models feed the bound with closed-form moments:
   Bernoulli(p) draw, otherwise all vote independently with bias p.  Its
   pairwise covariance is mix * p * (1 - p).
 * ``ExactMajoritySet``: a uniformly random subset of exactly ceil(n/2)
-  voters votes correctly, so the majority is always correct even though
-  the pairwise bound degrades to 0 as n grows.
+  voters votes correctly, so the majority is always correct; the vote
+  count is constant, so sigma^2 = 0 and the bound is 1 for every n.
 
 Sampling is deterministic for a fixed seed: trials are split into fixed
 chunks of 65536 and chunk c draws from ``default_rng([seed mod 2^63, c])``,

@@ -1,10 +1,10 @@
 """Minimal CSV tables with exact round-tripping.
 
-Numbers are rendered in shortest round-trip form (Python's repr), rationals
-as ``numerator/denominator``, booleans as ``true``/``false``.  Re-parsing a
-rendered table reproduces the original cell values exactly, which is what
-the golden-file style tests rely on.  Separator is always ``,`` and the
-decimal point ``.`` regardless of locale.
+``render_row`` renders every line: numbers in shortest round-trip form
+(Python's repr), rationals as ``numerator/denominator``, booleans as
+``true``/``false``.  Re-parsing a rendered table reproduces the original cell
+values exactly, which is what the golden-file style tests rely on.  Separator
+is always ``,`` and the decimal point ``.`` regardless of locale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import DomainError
 
-__all__ = ["Cell", "CsvTable"]
+__all__ = ["Cell", "CsvTable", "render_row"]
 
 Cell = int | float | Fraction | bool | str
 
@@ -34,6 +34,11 @@ def _render_cell(cell: Cell) -> str:
     if "," in text or "\n" in text:
         raise DomainError(f"cell value {text!r} would break the CSV layout")
     return text
+
+
+def render_row(cells: Iterable[Cell]) -> str:
+    """One CSV line, newline included; a text cell holding ``,`` or a newline is refused."""
+    return ",".join(map(_render_cell, cells)) + "\n"
 
 
 def _parse_cell(text: str) -> Cell:
@@ -71,9 +76,7 @@ class CsvTable:
         object.__setattr__(self, "rows", body)
 
     def render(self) -> str:
-        lines = [",".join(self.header)]
-        lines.extend(",".join(_render_cell(c) for c in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return "".join(map(render_row, (self.header, *self.rows)))
 
     @classmethod
     def parse(cls, text: str) -> "CsvTable":

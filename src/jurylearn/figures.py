@@ -114,5 +114,5 @@ def figure_table(fig_id: int) -> CsvTable:
     try:
         builder = _BUILDERS[_checks.count(fig_id, "figure id")]
     except (KeyError, ValueError):
-        raise DomainError(f"figure id must be one of {FIGURE_IDS}, got {fig_id!r}") from None
+        raise DomainError(f"figure id must be one of {FIGURE_IDS}, got {_checks.shown(fig_id)}") from None
     return builder()

@@ -113,10 +113,10 @@ class CostQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _checks.count(self.n, "group size", odd=True))
-        target = _checks._number(self.target, "target competence")
+        target = _checks.number(self.target, "target competence")
         if not 0.5 < target < 1.0:
             raise DomainError(
-                f"target competence must lie strictly between 1/2 and 1, got {self.target!r}"
+                f"target competence must lie strictly between 1/2 and 1, got {_checks.shown(self.target)}"
             )
         object.__setattr__(self, "target", target)
 

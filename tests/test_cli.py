@@ -9,6 +9,7 @@ import pytest
 
 from jurylearn.cli import run
 from jurylearn.csvio import CsvTable
+from jurylearn.errors import DomainError
 
 
 def invoke(capsys, *argv):
@@ -71,6 +72,25 @@ class TestScalarCommands:
         cov.write_text("2\n0.24 0\n0 0.24\n")
         code, out, err = invoke(capsys, "bound", "ladha", "--probs", "0.6,0.6,0.6", "--cov", str(cov))
         assert (code, out, err) == (1, "", "error: covariance must be 3x3, got (2, 2)\n")
+
+
+class TestBareValues:
+    # (argv, exact stdout): a bare value is one headerless CSV row, rendered
+    # by the same cell rules as a table.
+    CASES = {
+        "majority": (("majority", "--n", "3", "--p", "0.6"), "0.648\n"),
+        "extremal": (("extremal", "--n", "3", "--pbar", "0.7"), "1.0,1.0,0.09999999999999964\n"),
+        "majorize-true": (("majorize", "--a", "1,1,0.1", "--b", "0.7,0.7,0.7"), "true\n"),
+        "majorize-false": (("majorize", "--a", "0.6,0.6,0.6", "--b", "0.9,0.5,0.4"), "false\n"),
+        "bound-concentration": (("bound", "concentration", "--n", "100", "--pbar", "0.6"), "0.7357588823428849\n"),
+        "bound-ladha": (("bound", "ladha", "--probs", "0.6,0.6,0.6", "--cov", "{cov}"), "0.11111111111111106\n"),
+    }
+
+    @pytest.mark.parametrize("argv, text", CASES.values(), ids=CASES.keys())
+    def test_stdout_bytes(self, capsys, tmp_path, argv, text):
+        cov = tmp_path / "cov.txt"
+        cov.write_text("3\n0.24 0 0\n0 0.24 0\n0 0 0.24\n")
+        assert invoke(capsys, *(arg.replace("{cov}", str(cov)) for arg in argv)) == (0, text, "")
 
 
 class TestRates:
@@ -193,6 +213,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
+    def test_unreadable_input_file(self, capsys, tmp_path):
+        undecodable = tmp_path / "binary"
+        undecodable.write_bytes(b"\xff\xfe\x00")
+        commands = {"config": ("simulate", "--config"), "covariance": ("bound", "ladha", "--probs", "0.6", "--cov")}
+        for what, argv in commands.items():
+            for path in (undecodable, tmp_path / "missing"):
+                code, out, err = invoke(capsys, *argv, str(path))
+                assert (code, out) == (1, "")
+                assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "jurylearn", "majority", "--n", "3", "--p", "0.6"],
@@ -243,6 +273,11 @@ class TestFigures:
         assert table.render() == out
         # every data cell must re-parse as a number, never as leftover text
         assert all(isinstance(c, (int, float)) for row in table.rows for c in row)
+
+
+def test_header_cell_with_a_comma_is_refused():
+    with pytest.raises(DomainError):
+        CsvTable(("n", "a,b"), [(1, 2)]).render()
 
 
 class TestRoundTrip:

@@ -139,6 +139,12 @@ REJECTED = {
     "majority_prob_homogeneous(3, 10**400)": lambda: majority_prob_homogeneous(3, 10**400),
     "LinearProfile(10**400)": lambda: LinearProfile(10**400),
     "CompetenceVector([10**400])": lambda: CompetenceVector([10**400]),
+    "majority_prob_homogeneous(3, 10**5000)": lambda: majority_prob_homogeneous(3, 10**5000),
+    "LinearProfile(-10**5000)": lambda: LinearProfile(-(10**5000)),
+    "critical_group_rate(-10**5000)": lambda: critical_group_rate(-(10**5000)),
+    "critical_group_rate(2 * 10**5000)": lambda: critical_group_rate(2 * 10**5000),
+    "figure_table(10**5000)": lambda: figure_table(10**5000),
+    "CostQuery(3, 10**5000)": lambda: CostQuery(3, 10**5000, LinearProfile(1.0)),
 }
 
 
