@@ -51,7 +51,6 @@ from .profiles import (
 )
 from .tradeoff import (
     AsymptoticCheck,
-    CostQuery,
     asymptotic_rate_check,
     cost_curve,
     cost_to_reach,

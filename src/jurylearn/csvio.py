@@ -2,14 +2,17 @@
 
 ``render_row`` renders every line: numbers in shortest round-trip form
 (Python's repr), rationals as ``numerator/denominator``, booleans as
-``true``/``false``.  Re-parsing a rendered table reproduces the original cell
-values exactly, which is what the golden-file style tests rely on.  Separator
-is always ``,`` and the decimal point ``.`` regardless of locale.
+``true``/``false``.  Every cell a command emits re-parses exactly, which is
+what the golden-file style tests rely on; a text cell that reads as a number
+or boolean (``"1/2"``, ``"true"``) re-parses as that value, and no command
+emits one.  Separator is always ``,`` and the decimal point ``.`` regardless
+of locale.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -29,7 +32,13 @@ def _render_cell(cell: Cell) -> str:
     if isinstance(cell, float):
         return repr(float(cell))  # normalizes float subclasses (numpy scalars)
     if isinstance(cell, (int, Fraction)):
-        return str(int(cell)) if isinstance(cell, int) else str(cell)
+        try:
+            return str(int(cell)) if isinstance(cell, int) else str(cell)
+        except ValueError:  # more digits than Python converts to text
+            raise DomainError(
+                f"cell value exceeds the {sys.get_int_max_str_digits()}-digit limit "
+                "for integer string conversion"
+            ) from None
     text = str(cell)
     if "," in text or "\n" in text:
         raise DomainError(f"cell value {text!r} would break the CSV layout")
@@ -51,7 +60,7 @@ def _parse_cell(text: str) -> Cell:
     if "/" in text:
         try:
             return Fraction(text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             return text
     try:
         return float(text)

@@ -19,7 +19,6 @@ learning profile in closed form; ``cost_curve`` sweeps it over group sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -35,7 +34,6 @@ __all__ = [
     "asymptotic_rate_check",
     "fixed_budget_compare",
     "initial_slope",
-    "CostQuery",
     "cost_to_reach",
     "cost_curve",
 ]
@@ -103,24 +101,6 @@ def initial_slope(n: int, c: float) -> float:
     return c / n * float(derivative_at_half(n))
 
 
-@dataclass(frozen=True)
-class CostQuery:
-    """Target group competence for n voters learning along ``profile``."""
-
-    n: int
-    target: float
-    profile: LearningProfile
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _checks.count(self.n, "group size", odd=True))
-        target = _checks.number(self.target, "target competence")
-        if not 0.5 < target < 1.0:
-            raise DomainError(
-                f"target competence must lie strictly between 1/2 and 1, got {_checks.shown(self.target)}"
-            )
-        object.__setattr__(self, "target", target)
-
-
 class CostResult(NamedTuple):
     t_star: float
     cost: float
@@ -139,17 +119,24 @@ def _invert_majority(n: int, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def cost_to_reach(q: CostQuery) -> CostResult:
-    """Per-voter time t* with group competence = target, and total cost n*t*."""
-    reachable = majority_prob_homogeneous(q.n, q.profile.sup_competence)
-    if q.target > reachable + 1e-12:
-        raise UnattainableTargetError(
-            f"group of {q.n} tops out at competence {reachable:.6g} "
-            f"under this profile; {q.target} is unreachable"
+def cost_to_reach(n: int, target: float, profile: LearningProfile) -> CostResult:
+    """Per-voter time t* at which n voters learning along ``profile`` reach
+    group competence ``target``, and the total cost n*t*."""
+    n = _checks.count(n, "group size", odd=True)
+    p = _checks.number(target, "target competence")
+    if not 0.5 < p < 1.0:
+        raise DomainError(
+            f"target competence must lie strictly between 1/2 and 1, got {_checks.shown(target)}"
         )
-    p_star = min(_invert_majority(q.n, q.target), q.profile.sup_competence)
-    t_star = q.profile.time_to_reach(p_star)
-    return CostResult(t_star, _checks.non_negative(q.n * t_star, "cost"))
+    reachable = majority_prob_homogeneous(n, profile.sup_competence)
+    if p > reachable + 1e-12:
+        raise UnattainableTargetError(
+            f"group of {n} tops out at competence {reachable:.6g} "
+            f"under this profile; {p} is unreachable"
+        )
+    p_star = min(_invert_majority(n, p), profile.sup_competence)
+    t_star = profile.time_to_reach(p_star)
+    return CostResult(t_star, _checks.non_negative(n * t_star, "cost"))
 
 
 def cost_curve(
@@ -165,6 +152,6 @@ def cost_curve(
     """
     rows = []
     for n in n_list:
-        q = CostQuery(n=n, target=p_star, profile=profile_for(n))
-        rows.append((q.n, cost_to_reach(q).cost))
+        n = _checks.count(n, "group size", odd=True)
+        rows.append((n, cost_to_reach(n, p_star, profile_for(n)).cost))
     return rows

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from jurylearn.cli import run
-from jurylearn.csvio import CsvTable
+from jurylearn.csvio import CsvTable, render_row
 from jurylearn.errors import DomainError
 
 
@@ -223,6 +223,29 @@ class TestExitCodes:
                 assert (code, out) == (1, "")
                 assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
 
+    # (argv, exit code, stderr) for the checks behind the cost path
+    COST_REJECTIONS = [
+        (
+            ("cost", "--pstar", "0.8", "--profile", "linear:c=1.0", "--n-list", "4"),
+            1,
+            "error: group size must be an odd integer >= 1, got 4\n",
+        ),
+        (
+            ("cost", "--pstar", "0.5", "--profile", "linear:c=1.0", "--n-list", "3"),
+            1,
+            "error: target competence must lie strictly between 1/2 and 1, got 0.5\n",
+        ),
+        (
+            ("cost", "--pstar", "1", "--profile", "linear:c=1.0", "--n-list", "3"),
+            1,
+            "error: target competence must lie strictly between 1/2 and 1, got 1.0\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, code, stderr", COST_REJECTIONS, ids=["even-n", "pstar-half", "pstar-one"])
+    def test_cost_rejection_messages(self, capsys, argv, code, stderr):
+        assert invoke(capsys, *argv) == (code, "", stderr)
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "jurylearn", "majority", "--n", "3", "--p", "0.6"],
@@ -278,6 +301,16 @@ class TestFigures:
 def test_header_cell_with_a_comma_is_refused():
     with pytest.raises(DomainError):
         CsvTable(("n", "a,b"), [(1, 2)]).render()
+
+
+def test_undefined_fraction_reparses_as_text():
+    assert CsvTable.parse("a\n1/0\n").rows == (("1/0",),)
+
+
+@pytest.mark.parametrize("cell", [10**5000, Fraction(10**5000 + 1, 3)], ids=["int", "fraction"])
+def test_cell_beyond_the_digit_limit_is_refused(cell):
+    with pytest.raises(DomainError, match="digit limit"):
+        render_row([cell])
 
 
 class TestRoundTrip:

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jurylearn import (
-    CostQuery,
     DomainError,
     LinearProfile,
     PlateauProfile,
@@ -178,33 +177,34 @@ class TestDerivativeAnchor:
 
 class TestCostToReach:
     def test_single_voter_line(self):
-        result = cost_to_reach(CostQuery(1, 0.8, LinearProfile(1.0)))
+        result = cost_to_reach(1, 0.8, LinearProfile(1.0))
         assert result.t_star == pytest.approx(0.3, abs=1e-9)
         assert result.cost == pytest.approx(0.3, abs=1e-9)
 
     def test_three_voters(self):
-        result = cost_to_reach(CostQuery(3, 0.648, LinearProfile(2.0)))
+        result = cost_to_reach(3, 0.648, LinearProfile(2.0))
         assert result.t_star == pytest.approx(0.05, abs=1e-9)
         assert result.cost == pytest.approx(0.15, abs=1e-9)
 
     def test_unattainable_plateau(self):
         with pytest.raises(UnattainableTargetError):
-            cost_to_reach(CostQuery(3, 0.9, PlateauProfile(1.0, 0.55)))
+            cost_to_reach(3, 0.9, PlateauProfile(1.0, 0.55))
 
     def test_target_validation(self):
         with pytest.raises(DomainError):
-            CostQuery(3, 0.5, LinearProfile(1.0))
+            cost_to_reach(3, 0.5, LinearProfile(1.0))
         with pytest.raises(DomainError):
-            CostQuery(3, 1.0, LinearProfile(1.0))
+            cost_to_reach(3, 1.0, LinearProfile(1.0))
         with pytest.raises(DomainError):
-            CostQuery(4, 0.8, LinearProfile(1.0))
+            cost_to_reach(4, 0.8, LinearProfile(1.0))
 
     def test_group_size_is_normalised(self):
-        q = CostQuery(3.0, 0.8, LinearProfile(1.0))
-        assert type(q.n) is int and q.n == 3
+        [(n, cost)] = cost_curve(0.8, [3.0], lambda n: LinearProfile(1.0))
+        assert type(n) is int and n == 3
+        assert cost == cost_to_reach(3, 0.8, LinearProfile(1.0)).cost
 
     def test_target_is_stored_as_checked(self):
-        assert CostQuery(3, "0.8", LinearProfile(1.0)) == CostQuery(3, 0.8, LinearProfile(1.0))
+        assert cost_to_reach(3, "0.8", LinearProfile(1.0)) == cost_to_reach(3, 0.8, LinearProfile(1.0))
 
     @given(
         st.integers(0, 6),
@@ -213,7 +213,7 @@ class TestCostToReach:
     )
     def test_round_trip(self, k, target, profile):
         n = 2 * k + 1
-        result = cost_to_reach(CostQuery(n, target, profile))
+        result = cost_to_reach(n, target, profile)
         reached = group_competence(profile, n, n * result.t_star)
         assert reached == pytest.approx(target, abs=1e-9)
 
@@ -221,7 +221,7 @@ class TestCostToReach:
         # target exactly at the group limit of the cap
         cap = 0.75
         target = majority_prob_homogeneous(3, cap)
-        result = cost_to_reach(CostQuery(3, target, PlateauProfile(2.0, cap)))
+        result = cost_to_reach(3, target, PlateauProfile(2.0, cap))
         assert result.t_star == pytest.approx((cap - 0.5) / 2.0, abs=1e-6)
 
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from jurylearn import (
     CommonCoin,
     CompetenceVector,
-    CostQuery,
     DomainError,
     DynamicsConfig,
     ExactMajoritySet,
@@ -28,6 +27,7 @@ from jurylearn import (
     PowerProfile,
     asymptotic_rate_check,
     classify_outcome,
+    cost_to_reach,
     critical_group_rate,
     derivative_at_half,
     derivative_field,
@@ -106,7 +106,7 @@ REJECTED = {
     "sample_majority_rate(seed=inf)": lambda: sample_majority_rate(ExactMajoritySet(5), 100, INF),
     "uniform_grid(inf, 3)": lambda: uniform_grid(INF, 3),
     "uniform_grid(-1, 3)": lambda: uniform_grid(-1, 3),
-    "CostQuery(3, None)": lambda: CostQuery(3, None, LinearProfile(1.0)),
+    "cost_to_reach(3, None)": lambda: cost_to_reach(3, None, LinearProfile(1.0)),
     "correlate commoncoin n=2.5": _correlate("commoncoin:p=0.6,lambda=0.5,n=2.5"),
     "correlate commoncoin n=inf": _correlate("commoncoin:p=0.6,lambda=0.5,n=inf"),
     "correlate commoncoin n=nan": _correlate("commoncoin:p=0.6,lambda=0.5,n=nan"),
@@ -144,7 +144,7 @@ REJECTED = {
     "critical_group_rate(-10**5000)": lambda: critical_group_rate(-(10**5000)),
     "critical_group_rate(2 * 10**5000)": lambda: critical_group_rate(2 * 10**5000),
     "figure_table(10**5000)": lambda: figure_table(10**5000),
-    "CostQuery(3, 10**5000)": lambda: CostQuery(3, 10**5000, LinearProfile(1.0)),
+    "cost_to_reach(3, 10**5000)": lambda: cost_to_reach(3, 10**5000, LinearProfile(1.0)),
 }
 
 
