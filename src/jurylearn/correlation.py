@@ -128,22 +128,20 @@ CorrelatedVoteModel = Union[Independent, CommonCoin, ExactMajoritySet]
 def model_moments(model: CorrelatedVoteModel) -> CovarianceSpec:
     """Closed-form means and pairwise covariances of a vote model."""
     if isinstance(model, Independent):
-        probs = np.asarray(model.p.probs)
-        return CovarianceSpec(model.p, np.diag(probs * (1.0 - probs)))
-    if isinstance(model, CommonCoin):
-        var = model.p * (1.0 - model.p)
-        cov = np.full((model.n, model.n), model.mix * var)
-        np.fill_diagonal(cov, var)
-        return CovarianceSpec(CompetenceVector([model.p] * model.n), cov)
-    if isinstance(model, ExactMajoritySet):
-        n = model.n
-        k = (n + 1) // 2
-        p = k / n
-        pair = k * (k - 1) / (n * (n - 1)) if n > 1 else 0.0  # E[X_i X_j], hypergeometric
-        cov = np.full((n, n), pair - p * p)
-        np.fill_diagonal(cov, p * (1.0 - p))
-        return CovarianceSpec(CompetenceVector([p] * n), cov)
-    raise DomainError(f"unknown vote model {type(model).__name__}")
+        p, pair = model.p, 0.0
+    elif isinstance(model, CommonCoin):
+        p, pair = CompetenceVector([model.p] * model.n), model.mix * (model.p * (1.0 - model.p))
+    elif isinstance(model, ExactMajoritySet):
+        n, k = model.n, (model.n + 1) // 2
+        p = CompetenceVector([k / n] * n)
+        # E[X_i X_j] - p^2, with E[X_i X_j] hypergeometric
+        pair = (k * (k - 1) / (n * (n - 1)) if n > 1 else 0.0) - (k / n) * (k / n)
+    else:
+        raise DomainError(f"unknown vote model {type(model).__name__}")
+    probs = np.asarray(p.probs)
+    cov = np.full((len(probs), len(probs)), pair)
+    np.fill_diagonal(cov, probs * (1.0 - probs))
+    return CovarianceSpec(p, cov)
 
 
 def ladha_bound(spec: CovarianceSpec) -> float:
@@ -188,11 +186,8 @@ def _count_correct(model: CorrelatedVoteModel, m: int, rng: np.random.Generator)
         common = rng.random(m) < model.p
         total = np.where(copied, n * common.astype(np.int64), _vote_totals(rng, m, n, model.p))
     else:
-        # every assignment sets exactly ceil(n/2) votes correct, so the
-        # correct count is k regardless of which subset is drawn
-        n = model.n
-        k = (n + 1) // 2
-        total = np.full(m, k, dtype=np.int64)
+        # every assignment sets exactly ceil(n/2) of the odd n votes correct
+        return m
     correct = total * 2 > n
     if n % 2 == 0:
         ties = total * 2 == n
@@ -211,15 +206,10 @@ def sample_majority_rate(
     """
     trials = _checks.count(trials, "trials")
     base = _checks.count(seed, "seed", minimum=-math.inf) % (1 << 63)
-    hits = 0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        m = min(_CHUNK, trials - done)
-        rng = np.random.default_rng([base, chunk_index])
-        hits += _count_correct(model, m, rng)
-        done += m
-        chunk_index += 1
+    hits = sum(
+        _count_correct(model, min(_CHUNK, trials - start), np.random.default_rng([base, start // _CHUNK]))
+        for start in range(0, trials, _CHUNK)
+    )
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SampleResult(estimate, stderr)

@@ -215,7 +215,7 @@ def concentration_failure_bound(n: int, pbar: float) -> float:
     inequality sharpens it to 2t^2/n, so this bound is valid but loose.
     For pbar = 1/2 + w/sqrt(n) it equals 2*exp(-w^2).
     """
-    n = _checks.count(n, "group size")
+    size = _checks.positive(_checks.count(n, "group size"), "group size")  # the float n reads as
     pbar = _checks.within(pbar, "mean competence", 0.5, 1.0)
-    d = n * (pbar - 0.5)
-    return 2.0 * math.exp(-(d * d) / n)
+    d = size * (pbar - 0.5)
+    return 2.0 * math.exp(-(d * d) / size)

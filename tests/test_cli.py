@@ -246,6 +246,47 @@ class TestExitCodes:
     def test_cost_rejection_messages(self, capsys, argv, code, stderr):
         assert invoke(capsys, *argv) == (code, "", stderr)
 
+    # (argv, exit code, stderr) for missing or clashing arguments, a group
+    # size beyond float range, and input files that fail to parse or to
+    # integrate; a {name} argument is the path of FILES[name]
+    FILES = {
+        "text-cov": "2\n0.24 x\n0 0.24\n",
+        "short-row-cov": "2\n0.24 0\n0\n",
+        "blow-up": "n = 2\ninitial = 0.55, 0.5\nkappa = 1e308\nmultiplier = 10\nt_end = 1\nstep = 0.5\n",
+    }
+    NO_JURY = "error: specify either --n/--p or --probs\n"
+    BAD_COV = "error: covariance entries must be finite numbers, every row of one length\n"
+    ARGUMENT_REJECTIONS = {
+        "majority-no-jury": (("majority",), 1, NO_JURY),
+        "majority-two-juries": (("majority", "--n", "3", "--p", "0.6", "--probs", "0.6"), 1, NO_JURY),
+        "majority-n-without-p": (("majority", "--n", "3"), 1, "error: --n requires --p\n"),
+        "concentration-without-pbar": (
+            ("bound", "concentration", "--n", "3"),
+            1,
+            "error: bound concentration requires --n and --pbar\n",
+        ),
+        "concentration-n-beyond-float": (
+            ("bound", "concentration", "--n", "1" + "0" * 400, "--pbar", "0.6"),
+            1,
+            "error: group size must be positive and finite, got inf\n",
+        ),
+        "ladha-without-cov": (
+            ("bound", "ladha", "--probs", "0.6"),
+            1,
+            "error: bound ladha requires --probs and --cov FILE\n",
+        ),
+        "ladha-text-entry": (("bound", "ladha", "--probs", "0.6,0.6", "--cov", "{text-cov}"), 1, BAD_COV),
+        "ladha-short-row": (("bound", "ladha", "--probs", "0.6,0.6", "--cov", "{short-row-cov}"), 1, BAD_COV),
+        "simulate-blow-up": (("simulate", "--config", "{blow-up}"), 1, "error: non-finite state at t = 0.5\n"),
+    }
+
+    @pytest.mark.parametrize("argv, code, stderr", ARGUMENT_REJECTIONS.values(), ids=ARGUMENT_REJECTIONS.keys())
+    def test_argument_and_file_rejections(self, capsys, tmp_path, argv, code, stderr):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg[1:-1]) if arg.startswith("{") else arg for arg in argv]
+        assert invoke(capsys, *argv) == (code, "", stderr)
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "jurylearn", "majority", "--n", "3", "--p", "0.6"],

@@ -116,6 +116,25 @@ class TestModelMoments:
         with pytest.raises(DomainError):
             ExactMajoritySet(4)
 
+    # Every matrix to the bit: p_i*(1 - p_i) on the diagonal, the model's
+    # pair covariance off it, with the hex value each formula gives; p_0 is
+    # 0.6 in every case.
+    @pytest.mark.parametrize(
+        "model, probs, pair, pair_hex",
+        [
+            (Independent(CompetenceVector((0.6, 0.7, 0.8))), (0.6, 0.7, 0.8), 0.0, "0x0.0p+0"),
+            (CommonCoin(3, 0.6, 0.37), (0.6,) * 3, 0.37 * (0.6 * (1 - 0.6)), "0x1.6bb98c7e28240p-4"),
+            (ExactMajoritySet(5), (3 / 5,) * 5, 3 * 2 / (5 * 4) - (3 / 5) * (3 / 5), "-0x1.eb851eb851eb8p-5"),
+        ],
+        ids=["independent", "commoncoin", "exactmajority"],
+    )
+    def test_matrix_bits_follow_the_formulas(self, model, probs, pair, pair_hex):
+        assert pair.hex() == pair_hex
+        expected = np.array([[p * (1 - p) if i == j else pair for j in range(len(probs))] for i, p in enumerate(probs)])
+        cov = model_moments(model).cov
+        assert np.array_equal(cov.view(np.uint64), expected.view(np.uint64))
+        assert cov[0, 0].hex() == "0x1.eb851eb851eb8p-3"
+
 
 class TestLadhaBound:
     def test_independent_example(self):
@@ -226,6 +245,31 @@ class TestSampling:
     def test_trials_validated(self):
         with pytest.raises(DomainError):
             sample_majority_rate(ExactMajoritySet(3), trials=0, seed=1)
+
+    # Exact results at seed 7 on both sides of the 65,536-trial chunk
+    # boundary: the second chunk draws from its own stream.
+    CHUNK_BOUNDARY = {
+        "commoncoin-odd": (
+            CommonCoin(11, 0.6, 0.5),
+            (0.6774749755859375, 0.0018259478599264454),
+            (0.6774798968521598, 0.0018259266304463209),
+        ),
+        "independent": (
+            Independent(CompetenceVector((0.6, 0.7, 0.8))),
+            (0.78985595703125, 0.0015914482659558173),
+            (0.7898591635259472, 0.0015914272130174974),
+        ),
+        "commoncoin-even": (
+            CommonCoin(4, 0.6, 0.3),
+            (0.631011962890625, 0.0018848855029053857),
+            (0.6310175931153394, 0.0018848651511029074),
+        ),
+    }
+
+    @pytest.mark.parametrize("model, one_chunk, two_chunks", CHUNK_BOUNDARY.values(), ids=CHUNK_BOUNDARY.keys())
+    def test_chunk_boundary_results_are_pinned(self, model, one_chunk, two_chunks):
+        assert tuple(sample_majority_rate(model, 65_536, 7)) == one_chunk
+        assert tuple(sample_majority_rate(model, 65_537, 7)) == two_chunks
 
 
 class TestParseModel:

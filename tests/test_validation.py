@@ -27,6 +27,7 @@ from jurylearn import (
     PowerProfile,
     asymptotic_rate_check,
     classify_outcome,
+    concentration_failure_bound,
     cost_to_reach,
     critical_group_rate,
     derivative_at_half,
@@ -100,6 +101,7 @@ REJECTED = {
     "derivative_at_half(3.5)": lambda: derivative_at_half(3.5),
     "majority_prob_homogeneous(inf, 0.6)": lambda: majority_prob_homogeneous(INF, 0.6),
     "hoeffding_extremal(inf, 0.5)": lambda: hoeffding_extremal(INF, 0.5),
+    "concentration_failure_bound(10**400, 0.6)": lambda: concentration_failure_bound(10**400, 0.6),
     "sample_majority_rate(trials=inf)": lambda: sample_majority_rate(ExactMajoritySet(5), INF, 1),
     "sample_majority_rate(seed=1.5)": lambda: sample_majority_rate(ExactMajoritySet(5), 100, 1.5),
     "sample_majority_rate(seed=nan)": lambda: sample_majority_rate(ExactMajoritySet(5), 100, NAN),
