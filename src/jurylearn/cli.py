@@ -18,11 +18,17 @@ Each handler returns a ``CsvTable`` or, for a bare value, one row of cells;
 file that cannot be written exit with code 1 and a one-line message on
 stderr; bad flags exit with code 2.  Output is fully rendered before anything
 is written, so a failing command never leaves partial CSV on stdout.
+
+``run`` may be called any number of times in one process.  The parser is
+built on the first call and cached: ``parse_args`` never mutates it and
+returns a fresh namespace each time, and the handlers, the ``--id`` choices
+and the tie-rule choices are all bound when it is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -129,6 +135,7 @@ def _cmd_figure(args) -> CsvTable:
     return figure_table(args.id)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jurylearn",

@@ -134,7 +134,11 @@ def majority_prob_homogeneous(
     q = 1.0 - p
     _check_tie_rule(n, rule)
     threshold = n // 2 + 1
-    terms = [math.comb(n, k) * p**k * q ** (n - k) for k in range(threshold, n + 1)]
+    terms = []
+    c = math.comb(n, threshold)  # then C(n, k+1) = C(n, k)*(n-k) // (k+1), exactly
+    for k in range(threshold, n + 1):
+        terms.append(c * p**k * q ** (n - k))
+        c = c * (n - k) // (k + 1)
     total = math.fsum(terms)
     if n % 2 == 0:
         total += 0.5 * math.comb(n, n // 2) * p ** (n // 2) * q ** (n // 2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jurylearn.cli import run
+from jurylearn.cli import build_parser, run
 from jurylearn.csvio import CsvTable, render_row
 from jurylearn.errors import DomainError
 
@@ -194,6 +194,22 @@ class TestTables:
         assert code == 0
         assert out == ""
         assert "8/3" in dest.read_text()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys, tmp_path):
+    tie_message = "error: group size 4 is even; choose a tie rule such as FAIR_COIN\n"
+    assert invoke(capsys, "majority", "--n", "4", "--p", "0.6", "--tie-break", "fair-coin")[0] == 0
+    assert invoke(capsys, "majority", "--n", "4", "--p", "0.6") == (1, "", tie_message)
+    assert invoke(capsys, "majority", "--n", "x")[0] == 2
+    assert invoke(capsys, "majority", "--n", "3", "--p", "0.6") == (0, "0.648\n", "")
+    dest = tmp_path / "value.csv"
+    assert invoke(capsys, "majority", "--n", "3", "--p", "0.6", "--out", str(dest)) == (0, "", "")
+    assert dest.read_text() == "0.648\n"
+    assert invoke(capsys, "majority", "--n", "3", "--p", "0.6") == (0, "0.648\n", "")
 
 
 class TestExitCodes:

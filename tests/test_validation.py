@@ -318,7 +318,13 @@ def test_any_float_exits_cleanly(cov_file, template, data):
 @pytest.mark.xfail(
     strict=True,
     raises=OverflowError,
-    reason="the homogeneous binomial tail converts math.comb to float and overflows for n >= 1031",
+    reason="the homogeneous binomial tail converts math.comb to float, and C(1030, 516) ~ 2.9e308 "
+    "already overflows: n >= 1030 fails (n = 1030 only with fair-coin, since fail refuses it first)",
 )
-def test_majority_large_homogeneous_jury():
-    assert cli("majority", "--n", "2001", "--p", "0.6")[0] == 0
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "1030", "--p", "0.6", "--tie-break", "fair-coin"), ("--n", "2001", "--p", "0.6")],
+    ids=["n1030-fair-coin", "n2001"],
+)
+def test_majority_large_homogeneous_jury(argv):
+    assert cli("majority", *argv)[0] == 0

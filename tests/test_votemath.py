@@ -80,7 +80,22 @@ class TestVoteDistribution:
         assert dist == pytest.approx(expected, abs=1e-12)
 
 
+def _direct_homogeneous_tail(n, p):
+    # one math.comb per term, the expression the binomial recurrence replaced
+    q = 1.0 - p
+    total = math.fsum(math.comb(n, k) * p**k * q ** (n - k) for k in range(n // 2 + 1, n + 1))
+    if n % 2 == 0:
+        total += 0.5 * math.comb(n, n // 2) * p ** (n // 2) * q ** (n // 2)
+    return min(total, 1.0)
+
+
 class TestHomogeneous:
+    def test_binomial_recurrence_keeps_every_float(self):
+        for n in [*range(1, 62), 101, 201, 401, 646, 982, 1029]:
+            rule = MajorityRule.FAIR_COIN if n % 2 == 0 else MajorityRule.FAIL
+            for p in (0.0, 1e-3, 0.25, 0.5, 0.6, 0.999, 1.0):
+                assert majority_prob_homogeneous(n, p, rule) == _direct_homogeneous_tail(n, p), (n, p)
+
     def test_single_voter(self):
         assert majority_prob_homogeneous(1, 0.7) == 0.7
 
