@@ -81,7 +81,7 @@ class TestVoteDistribution:
 
 
 def _direct_homogeneous_tail(n, p):
-    # one math.comb per term, the expression the binomial recurrence replaced
+    # reference: one math.comb per term; the recurrence must give the same float
     q = 1.0 - p
     total = math.fsum(math.comb(n, k) * p**k * q ** (n - k) for k in range(n // 2 + 1, n + 1))
     if n % 2 == 0:
