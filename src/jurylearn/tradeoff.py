@@ -34,15 +34,16 @@ __all__ = [
     "asymptotic_rate_check",
     "fixed_budget_compare",
     "initial_slope",
+    "CostResult",
     "cost_to_reach",
     "cost_curve",
 ]
 
 
 def critical_group_rate(n: int) -> Fraction:
-    """Exact rational rate from which a group of n can beat a unit-rate single voter."""
+    """Exact rational rate from which n voters can beat a unit-rate voter: n / expert_threshold(n)."""
     n = _checks.count(n, "group size", odd=True)
-    return Fraction(2 ** (n - 1), math.comb(n - 1, (n - 1) // 2))
+    return n / derivative_at_half(n)
 
 
 def expert_threshold(n: int) -> Fraction:

@@ -1,5 +1,6 @@
 """Mean-drift competence dynamics: fields, integration, classification."""
 
+import dataclasses
 import math
 import random
 
@@ -14,13 +15,13 @@ from jurylearn import (
     OutcomeKind,
     classify_outcome,
     derivative_field,
+    format_dynamics_config,
     integrate,
     list_scenarios,
     load_scenario,
     parse_dynamics_config,
     trajectory_table,
 )
-from jurylearn.dynamics import format_dynamics_config
 
 
 def _config(**overrides):
@@ -145,6 +146,17 @@ class TestIntegrate:
         b = integrate(_config(t_end=50.0, step=0.005))
         diff = max(abs(x - y) for x, y in zip(a.final_state, b.final_state))
         assert diff <= 1e-8
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_step_halving_keeps_scenario_outcome(self, name):
+        # RK4 is first order across a window switch: fastleader moves by ~3e-5 at step/2
+        tol = 1e-4 if name == "window4-fastleader" else 1e-12
+        config = load_scenario(name)
+        a = classify_outcome(integrate(config))
+        b = classify_outcome(integrate(dataclasses.replace(config, step=config.step / 2)))
+        assert a.kind is b.kind
+        assert [c.members for c in a.clusters] == [c.members for c in b.clusters]
+        assert max(abs(x.value - y.value) for x, y in zip(a.clusters, b.clusters)) <= tol
 
 
 class TestDriftScenario:

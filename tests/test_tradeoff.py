@@ -1,5 +1,6 @@
 """Critical rates, expert thresholds, budget comparisons, and cost curves."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jurylearn import (
+    CompetenceVector,
     DomainError,
     LinearProfile,
     PlateauProfile,
@@ -21,6 +23,7 @@ from jurylearn import (
     fixed_budget_compare,
     group_competence,
     initial_slope,
+    majority_prob_heterogeneous,
     majority_prob_homogeneous,
 )
 
@@ -140,6 +143,41 @@ class TestFixedBudget:
             fixed_budget_compare(1.0, 1.0, 4, self.GRID)
         with pytest.raises(DomainError):
             fixed_budget_compare(1.0, 1.0, 3, [0.5, 0.2])
+
+
+def _exact_majority(probs) -> Fraction:
+    total = Fraction(0)
+    for votes in itertools.product((0, 1), repeat=len(probs)):
+        if 2 * sum(votes) > len(probs):
+            total += math.prod(p if v else 1 - p for p, v in zip(probs, votes))
+    return total
+
+
+class TestHeterogeneousMix:
+    """Three voters with linear rates (2.5, 0.25, 0.25) against three at rate 1.0.
+
+    Each voter learns for T/3.  The mix wins at small T and loses once its
+    fast voter is capped at competence 1.
+    """
+
+    RATES = (2.5, 0.25, 0.25)
+
+    @pytest.mark.parametrize(
+        "t, mix, uniform",
+        [("0.3", 0.6496875, 0.648), ("1.2", 0.84, 0.972)],
+    )
+    def test_mix_against_uniform(self, t, mix, uniform):
+        share = float(t) / 3
+        mix_probs = CompetenceVector([LinearProfile(r).evaluate(share) for r in self.RATES])
+        got_mix = majority_prob_heterogeneous(mix_probs)
+        got_uniform = majority_prob_homogeneous(3, LinearProfile(1.0).evaluate(share))
+        exact_share = Fraction(t) / 3
+        exact = [min(Fraction(1, 2) + Fraction(r) * exact_share, Fraction(1)) for r in self.RATES]
+        assert abs(got_mix - _exact_majority(exact)) <= 1e-15
+        assert abs(got_uniform - _exact_majority([Fraction(1, 2) + exact_share] * 3)) <= 1e-15
+        assert got_mix == pytest.approx(mix, abs=1e-15)
+        assert got_uniform == pytest.approx(uniform, abs=1e-15)
+        assert (got_mix > got_uniform) == (t == "0.3")
 
 
 class TestInitialSlope:
