@@ -41,7 +41,6 @@ from .figures import FIGURE_IDS, figure_table
 from .profiles import parse_profile, uniform_grid
 from .tradeoff import asymptotic_rate_check, cost_curve, fixed_budget_compare
 from .votemath import (
-    CompetenceVector,
     MajorityRule,
     concentration_failure_bound,
     hoeffding_extremal,
@@ -65,7 +64,7 @@ def _cmd_majority(args) -> tuple[float]:
     if (args.probs is None) == (args.n is None):
         raise DomainError("specify either --n/--p or --probs")
     if args.probs is not None:
-        return (majority_prob_heterogeneous(CompetenceVector(_checks.items(args.probs)), args.tie_break),)
+        return (majority_prob_heterogeneous(_checks.items(args.probs), args.tie_break),)
     if args.p is None:
         raise DomainError("--n requires --p")
     return (majority_prob_homogeneous(args.n, args.p, args.tie_break),)
@@ -76,8 +75,7 @@ def _cmd_extremal(args) -> tuple[float, ...]:
 
 
 def _cmd_majorize(args) -> tuple[bool]:
-    result = majorizes(CompetenceVector(_checks.items(args.a)), CompetenceVector(_checks.items(args.b)))
-    return (result,)
+    return (majorizes(_checks.items(args.a), _checks.items(args.b)),)
 
 
 def _read_cov_file(path: str):
@@ -94,13 +92,17 @@ def _cmd_bound(args) -> tuple[float]:
         return (concentration_failure_bound(args.n, args.pbar),)
     if args.probs is None or args.cov is None:
         raise DomainError("bound ladha requires --probs and --cov FILE")
-    probs = CompetenceVector(_checks.items(args.probs))
-    return (ladha_bound(CovarianceSpec(probs, _read_cov_file(args.cov))),)
+    return (ladha_bound(CovarianceSpec(_checks.items(args.probs), _read_cov_file(args.cov))),)
 
 
 def _cmd_rates(args) -> CsvTable:
-    n_max = _checks.count(args.n_max, "--n-max")
-    checks = {n: asymptotic_rate_check(n, args.kind) for n in range(1, n_max + 1, 2)}
+    # The largest n's rate is the longest, with a part >= 2^(n - 1 - log2 n): too long past 4 * limit.
+    sizes = range(1, _checks.count(args.n_max, "--n-max") + 1, 2)
+    n, limit = sizes[-1], sys.get_int_max_str_digits()
+    if limit and n > 4 * limit:
+        raise DomainError(f"cell value exceeds the {limit}-digit limit for integer string conversion")
+    render_row([asymptotic_rate_check(n, args.kind).exact])
+    checks = {n: asymptotic_rate_check(n, args.kind) for n in sizes}
     rows = [(n, check.exact, float(check.exact), check.asymptote) for n, check in checks.items()]
     return CsvTable(("n", "exact", "value", "asymptote"), rows)
 

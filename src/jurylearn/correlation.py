@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -65,19 +65,20 @@ class CovarianceSpec:
     p: CompetenceVector
     cov: np.ndarray = field(repr=False)
 
-    def __init__(self, p: CompetenceVector, cov: np.ndarray):
+    def __init__(self, p: Iterable[float], cov: np.ndarray):
+        object.__setattr__(self, "p", CompetenceVector(p))
         try:
             matrix = np.array(cov, dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise DomainError("covariance entries must be finite numbers, every row of one length") from None
-        n = len(p)
+        n = len(self.p)
         if matrix.shape != (n, n):
             raise DomainError(f"covariance must be {n}x{n}, got {matrix.shape}")
         if not np.isfinite(matrix).all():
             raise DomainError("covariance entries must be finite")
         if not np.array_equal(matrix, matrix.T):
             raise DomainError("covariance matrix must be symmetric")
-        probs = np.asarray(p.probs)
+        probs = np.asarray(self.p.probs)
         if np.max(np.abs(np.diag(matrix) - probs * (1.0 - probs))) > 1e-12:
             raise DomainError("diagonal entries must equal p_i*(1 - p_i)")
         q = 1.0 - probs
@@ -92,13 +93,15 @@ class CovarianceSpec:
                 f"bounds [{float(lo[i, j])!r}, {float(hi[i, j])!r}]"
             )
         matrix.setflags(write=False)
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "cov", matrix)
 
 
 @dataclass(frozen=True)
 class Independent:
     p: CompetenceVector
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", CompetenceVector(self.p))
 
 
 @dataclass(frozen=True)
@@ -128,17 +131,17 @@ CorrelatedVoteModel = Union[Independent, CommonCoin, ExactMajoritySet]
 def model_moments(model: CorrelatedVoteModel) -> CovarianceSpec:
     """Closed-form means and pairwise covariances of a vote model."""
     if isinstance(model, Independent):
-        p, pair = model.p, 0.0
+        p, pair = model.p.probs, 0.0
     elif isinstance(model, CommonCoin):
-        p, pair = CompetenceVector([model.p] * model.n), model.mix * (model.p * (1.0 - model.p))
+        p, pair = [model.p] * model.n, model.mix * (model.p * (1.0 - model.p))
     elif isinstance(model, ExactMajoritySet):
         n, k = model.n, (model.n + 1) // 2
-        p = CompetenceVector([k / n] * n)
+        p = [k / n] * n
         # E[X_i X_j] - p^2, with E[X_i X_j] hypergeometric
         pair = (k * (k - 1) / (n * (n - 1)) if n > 1 else 0.0) - (k / n) * (k / n)
     else:
         raise DomainError(f"unknown vote model {type(model).__name__}")
-    probs = np.asarray(p.probs)
+    probs = np.asarray(p)
     cov = np.full((len(probs), len(probs)), pair)
     np.fill_diagonal(cov, probs * (1.0 - probs))
     return CovarianceSpec(p, cov)
@@ -177,9 +180,8 @@ def _vote_totals(rng: np.random.Generator, m: int, n: int, probs) -> np.ndarray:
 
 def _count_correct(model: CorrelatedVoteModel, m: int, rng: np.random.Generator) -> int:
     if isinstance(model, Independent):
-        probs = np.asarray(model.p.probs)
-        n = len(probs)
-        total = _vote_totals(rng, m, n, probs)
+        n = len(model.p)
+        total = _vote_totals(rng, m, n, np.asarray(model.p.probs))
     elif isinstance(model, CommonCoin):
         n = model.n
         copied = rng.random(m) < model.mix
@@ -229,7 +231,7 @@ def parse_model(spec: str) -> CorrelatedVoteModel:
     """
     kind, fields = _checks.spec(spec, "model", _MODEL_FIELDS)
     if kind == "independent":
-        return Independent(CompetenceVector(_checks.items(fields["probs"])))
+        return Independent(_checks.items(fields["probs"]))
     if kind == "commoncoin":
         return CommonCoin(n=fields["n"], p=fields["p"], mix=fields["lambda"])
     return ExactMajoritySet(n=fields["n"])

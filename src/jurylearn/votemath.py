@@ -4,11 +4,10 @@ Voter i casts a correct vote with probability ``p_i``, independently of the
 others.  The group decision is correct when more than half the votes are
 correct; for even group sizes a tie rule must be chosen explicitly.  The
 heterogeneous case is the Poisson binomial distribution, evaluated here by
-an O(n^2) convolution DP, which is exact up to float rounding at the group
-sizes this package targets (up to a few thousand voters).  The DP is one
-numpy fold vectorized over a batch of juries: each voter is a column, folded
-into every jury's mass at once, so a whole trajectory of group states costs
-one call.
+an O(n^2) convolution DP, exact up to float rounding for juries of up to a
+few thousand voters.  It folds a whole batch of juries at once in numpy, so
+a trajectory of group states costs one call.  Every function taking a jury
+accepts any sequence of competences and reads it once, by the jury check.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe for unrestricted concurrent use.
@@ -26,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _checks
-from .errors import DomainError, TieRuleRequiredError
+from .errors import TieRuleRequiredError
 
 __all__ = [
     "CompetenceVector",
@@ -94,9 +93,9 @@ def _pmf(rows: np.ndarray) -> np.ndarray:
     return mass.T
 
 
-def vote_distribution(p: CompetenceVector) -> tuple[float, ...]:
+def vote_distribution(p: Iterable[float]) -> tuple[float, ...]:
     """Exact distribution of the correct-vote count: ``mass[k] = Pr(Z_n = k)``."""
-    return tuple(_pmf(np.array([p.probs]))[0].tolist())
+    return tuple(_pmf(_checks.competences([list(p)], "competence"))[0].tolist())
 
 
 def _check_tie_rule(n: int, rule: MajorityRule) -> None:
@@ -117,7 +116,7 @@ def _tail_from_mass(mass: Sequence[float], n: int) -> float:
     if win < 0.25:
         return win
     fail = math.fsum(mass[: (n + 1) // 2]) + tie
-    return min(max(1.0 - fail, 0.0), 1.0)
+    return max(1.0 - fail, 0.0)
 
 
 def majority_prob_homogeneous(
@@ -125,35 +124,33 @@ def majority_prob_homogeneous(
 ) -> float:
     """Probability that n independent voters of equal competence p decide correctly.
 
-    Evaluates the binomial upper tail directly, which keeps the relative
-    error at the accumulated-rounding level (<= 1e-12 for n <= 201) even
-    for very small tail probabilities.
+    Sums the binomial upper tail directly: the relative error stays at the
+    accumulated-rounding level (<= 1e-12 for n <= 201) even for tiny tails;
+    from n = 1031 (1030 with FAIR_COIN) its float binomials raise OverflowError.
     """
     n = _checks.count(n, "group size")
     p = _checks.within(p, "competence")
     q = 1.0 - p
     _check_tie_rule(n, rule)
-    threshold = n // 2 + 1
+    h = n // 2
+    c = math.comb(n, h)  # the tie binomial for even n; the rest follow exactly
+    tie = 0.5 * c * p**h * q**h if n % 2 == 0 else 0.0
     terms = []
-    c = math.comb(n, threshold)  # then C(n, k+1) = C(n, k)*(n-k) // (k+1), exactly
-    for k in range(threshold, n + 1):
+    for k in range(h + 1, n + 1):
+        c = c * (n - k + 1) // k  # C(n, k) from C(n, k-1), exactly
         terms.append(c * p**k * q ** (n - k))
-        c = c * (n - k) // (k + 1)
-    total = math.fsum(terms)
-    if n % 2 == 0:
-        total += 0.5 * math.comb(n, n // 2) * p ** (n // 2) * q ** (n // 2)
-    return min(total, 1.0)
+    return min(math.fsum(terms) + tie, 1.0)
 
 
 def majority_prob_heterogeneous(
-    p: CompetenceVector, rule: MajorityRule = MajorityRule.FAIL
+    p: Iterable[float], rule: MajorityRule = MajorityRule.FAIL
 ) -> float:
     """Probability of a correct majority decision for individual competences p.
 
     Agrees with :func:`majority_prob_homogeneous` when all entries are equal
     and with exhaustive enumeration over the 2^n vote patterns.
     """
-    return majority_prob_rows([p.probs], rule)[0]
+    return majority_prob_rows([list(p)], rule)[0]
 
 
 def majority_prob_rows(
@@ -199,16 +196,14 @@ def hoeffding_extremal(n: int, pbar: float) -> CompetenceVector:
     return CompetenceVector(probs)
 
 
-def majorizes(a: CompetenceVector, b: CompetenceVector) -> bool:
+def majorizes(a: Iterable[float], b: Iterable[float]) -> bool:
     """True when every sorted prefix sum of ``a`` dominates that of ``b``.
 
-    Vectors are sorted in non-increasing order first; total sums are allowed
-    to differ (the comparison at j = n is an inequality like the others).
+    Both juries, of one size, are sorted in non-increasing order first; total
+    sums may differ (the comparison at j = n is an inequality like the others).
     """
-    if len(a) != len(b):
-        raise DomainError(f"length mismatch: {len(a)} vs {len(b)}")
-    prefix_a = accumulate(sorted(a.probs, reverse=True))
-    prefix_b = accumulate(sorted(b.probs, reverse=True))
+    rows = _checks.competences([list(a), list(b)], "competence").tolist()
+    prefix_a, prefix_b = (accumulate(sorted(row, reverse=True)) for row in rows)
     return all(x >= y for x, y in zip(prefix_a, prefix_b))
 
 

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from jurylearn import cli
 from jurylearn.cli import build_parser, run
 from jurylearn.csvio import CsvTable, render_row
 from jurylearn.errors import DomainError
+from jurylearn.tradeoff import AsymptoticCheck, asymptotic_rate_check
 
 
 def invoke(capsys, *argv):
@@ -48,6 +50,13 @@ class TestScalarCommands:
         assert (code, out.strip()) == (0, "true")
         code, out, _ = invoke(capsys, "majorize", "--a", "0.6,0.6,0.6", "--b", "0.9,0.5,0.4")
         assert (code, out.strip()) == (0, "false")
+
+    def test_majorize_juries_of_two_sizes(self, capsys):
+        assert invoke(capsys, "majorize", "--a", "0.5", "--b", "0.5,0.5") == (
+            1,
+            "",
+            "error: expected rows of competence values, all of one length\n",
+        )
 
     def test_bound_concentration(self, capsys):
         code, out, _ = invoke(capsys, "bound", "concentration", "--n", "100", "--pbar", "0.6")
@@ -126,6 +135,49 @@ class TestRates:
             Fraction(3003, 1024),
             Fraction(6435, 2048),
         ]
+
+    # The first --n-max whose table passes the default 4,300-digit limit for
+    # integer text, per kind; the table two sizes smaller still renders.
+    FIRST_UNRENDERABLE = {"critical": 14297, "expert": 14289}
+    TOO_LONG = "error: cell value exceeds the 4300-digit limit for integer string conversion\n"
+
+    @pytest.fixture
+    def default_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("kind", FIRST_UNRENDERABLE)
+    def test_unrenderable_table_is_refused_from_its_last_row(self, capsys, monkeypatch, default_digit_limit, kind):
+        n_max = self.FIRST_UNRENDERABLE[kind]
+        exact = cli.asymptotic_rate_check
+
+        def last_row_only(n, k):
+            assert n == n_max, f"rate at n = {n} computed for a table that cannot be rendered"
+            return exact(n, k)
+
+        monkeypatch.setattr(cli, "asymptotic_rate_check", last_row_only)
+        assert invoke(capsys, "rates", kind, "--n-max", str(n_max)) == (1, "", self.TOO_LONG)
+        check = asymptotic_rate_check(n_max - 2, kind)
+        render_row((n_max - 2, check.exact, float(check.exact), check.asymptote))
+
+    @pytest.mark.parametrize("kind", FIRST_UNRENDERABLE)
+    def test_largest_renderable_table_is_kept_in_order(self, capsys, monkeypatch, default_digit_limit, kind):
+        # every row but the last is a stand-in, so the 23 s of exact rates below it are skipped
+        top = self.FIRST_UNRENDERABLE[kind] - 2
+        exact = cli.asymptotic_rate_check
+        stand_in = AsymptoticCheck(Fraction(1), 1.0, 0.0)
+        monkeypatch.setattr(cli, "asymptotic_rate_check", lambda n, k: exact(n, k) if n == top else stand_in)
+        code, out, _ = invoke(capsys, "rates", kind, "--n-max", str(top + 1))
+        assert code == 0
+        assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == list(range(1, top + 1, 2))
+
+    @pytest.mark.parametrize("n_max", ["17201", str(10**38), "1" + "0" * 400], ids=["17201", "1e38", "1e400"])
+    def test_far_too_large_table_is_refused_before_any_rate(self, capsys, monkeypatch, default_digit_limit, n_max):
+        monkeypatch.setattr(cli, "asymptotic_rate_check", None)  # calling it now raises TypeError
+        for kind in self.FIRST_UNRENDERABLE:
+            assert invoke(capsys, "rates", kind, "--n-max", n_max) == (1, "", self.TOO_LONG)
 
 
 class TestTables:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from jurylearn import (
     CommonCoin,
     CompetenceVector,
+    CovarianceSpec,
     DomainError,
     DynamicsConfig,
     ExactMajoritySet,
@@ -37,10 +38,14 @@ from jurylearn import (
     hoeffding_extremal,
     initial_slope,
     integrate,
+    ladha_bound,
+    majorizes,
     majority_prob_heterogeneous,
     majority_prob_homogeneous,
     majority_prob_rows,
+    model_moments,
     sample_majority_rate,
+    vote_distribution,
 )
 from jurylearn import correlation, votemath
 from jurylearn.cli import run
@@ -179,6 +184,11 @@ BAD_JURIES = {
 JURY_ENTRY_POINTS = {
     "CompetenceVector": lambda jury: CompetenceVector(jury),
     "majority_prob_rows": lambda jury: majority_prob_rows([jury]),
+    "majority_prob_heterogeneous": lambda jury: majority_prob_heterogeneous(jury),
+    "vote_distribution": lambda jury: vote_distribution(jury),
+    "majorizes": lambda jury: majorizes(jury, jury),
+    "CovarianceSpec": lambda jury: CovarianceSpec(jury, [[0.25]]),
+    "Independent": lambda jury: Independent(jury),
     "DynamicsConfig": lambda jury: _config(initial=jury),
     "derivative_field": lambda jury: derivative_field(_config(), jury),
 }
@@ -209,6 +219,38 @@ def test_a_bad_jury_gets_one_message_everywhere(tmp_path, cov_file, jury_id):
         field = "initial competence" if name == "simulate --config" else "competence"
         expected[name] = (1, "", f"error: {message.format(field)}\n")
     assert got == expected
+
+
+# Every jury entry point takes plain competences (numbers, or text as the CLI
+# passes them) and gives the same result, bit for bit, as for the
+# CompetenceVector it reads them into.
+
+JURY = (0.6, 0.55, 0.8, 0.7, 0.65)
+RIVAL = (0.65,) * 5  # majorized by JURY
+COV = [[p * (1.0 - p) if i == j else 0.01 for j in range(len(JURY))] for i, p in enumerate(JURY)]
+
+PLAIN_JURY_CALLS = {
+    "majority_prob_heterogeneous": majority_prob_heterogeneous,
+    "vote_distribution": vote_distribution,
+    "majorizes(jury, rival)": lambda jury: majorizes(jury, RIVAL),
+    "majorizes(rival, jury)": lambda jury: majorizes(RIVAL, jury),
+    "CovarianceSpec": lambda jury: ladha_bound(CovarianceSpec(jury, COV)),
+    "model_moments(Independent)": lambda jury: ladha_bound(model_moments(Independent(jury))),
+    "sample_majority_rate(Independent)": lambda jury: sample_majority_rate(Independent(jury), 20_000, seed=11),
+}
+
+PLAIN_JURIES = {
+    "list": lambda: list(JURY),
+    "text": lambda: [repr(p) for p in JURY],
+    "iterator": lambda: iter(JURY),
+}
+
+
+@pytest.mark.parametrize("form", PLAIN_JURIES)
+@pytest.mark.parametrize("name", PLAIN_JURY_CALLS)
+def test_plain_competences_read_like_a_competence_vector(name, form):
+    call = PLAIN_JURY_CALLS[name]
+    assert call(PLAIN_JURIES[form]()) == call(CompetenceVector(JURY))
 
 
 def test_checked_text_is_the_value_used():

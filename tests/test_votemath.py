@@ -91,7 +91,7 @@ def _direct_homogeneous_tail(n, p):
 
 class TestHomogeneous:
     def test_binomial_recurrence_keeps_every_float(self):
-        for n in [*range(1, 62), 101, 201, 401, 646, 982, 1029]:
+        for n in [*range(1, 62), 101, 201, 401, 646, 982, 1000, 1026, 1028, 1029]:
             rule = MajorityRule.FAIR_COIN if n % 2 == 0 else MajorityRule.FAIL
             for p in (0.0, 1e-3, 0.25, 0.5, 0.6, 0.999, 1.0):
                 assert majority_prob_homogeneous(n, p, rule) == _direct_homogeneous_tail(n, p), (n, p)
