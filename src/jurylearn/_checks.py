@@ -80,18 +80,19 @@ def non_negative(value, name: str) -> float:
 def competences(rows: Sequence[Sequence], name: str) -> np.ndarray:
     """Juries as rows of competences in [0, 1], as one float matrix.
 
-    An entry that is not a number, uneven rows, a jury of no voters and any
-    value outside [0, 1] raise DomainError; a value is reported as the float
-    it reads as, so text and numbers get one message.
+    An entry that is not a number, uneven rows, a row given as text (``"11"``
+    is not the jury (1, 1)), a jury of no voters and any value outside
+    [0, 1] raise DomainError; a value is reported as the float it reads as,
+    so text and numbers get one message.
     """
     try:
-        matrix = np.array(rows, dtype=float)
+        matrix = np.array(rows, dtype=float)  # a text row reads as one number, so ndim < 2
     except (TypeError, ValueError, OverflowError):  # read entry by entry to say why
         try:
-            floats = [[number(x, name) for x in row] for row in rows]
-        except TypeError:  # a bare number among the rows
-            floats = []
-        matrix = np.array(floats) if len(set(map(len, floats))) == 1 else np.empty(0)
+            rows = [[number(x, name) for x in (None if isinstance(row, str) else row)] for row in rows]
+        except TypeError:  # a bare number or a text among the rows
+            rows = []
+        matrix = np.array(rows) if len(set(map(len, rows))) == 1 else np.empty(0)
     if matrix.ndim != 2:
         raise DomainError(f"expected rows of {name} values, all of one length")
     if matrix.shape[1] == 0:

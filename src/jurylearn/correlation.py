@@ -17,14 +17,25 @@ Two tractable generative models feed the bound with closed-form moments:
   count is constant, so sigma^2 = 0 and the bound is 1 for every n.
 
 Sampling is deterministic for a fixed seed: trials are split into fixed
-chunks of 65536 and chunk c draws from ``default_rng([seed mod 2^63, c])``,
-so chunks may be evaluated concurrently and merged without changing the
-estimate.
+chunks of 65536 and chunk c draws from ``default_rng([seed mod 2^63, c])``.
+The chunks are evaluated on one thread pool per process, with a worker for
+each CPU the process may run on; numpy's draws, compares and sums release
+the interpreter lock, so the workers run in parallel.  Each chunk's hit
+count is an exact integer and their sum does not depend on the order the
+chunks finish in, so the estimate is the same for every pool size.  The
+workers share a budget of 2^18 votes held at once: each draws its chunk in
+blocks of at most 2^18 / workers votes (whole rows of the trials-by-voters
+matrix, or pieces of one row when a row is longer), where the sequential
+sampler held up to 2^20.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
@@ -48,7 +59,16 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-_BLOCK = 1 << 20  # votes drawn at once; also the largest CommonCoin jury
+_BLOCK = 1 << 20  # the largest CommonCoin jury; a quarter of it is the pool's vote budget
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="jurylearn-sampler")
+
+
+os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has none of the threads
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,12 +190,17 @@ class SampleResult(NamedTuple):
 
 
 def _vote_totals(rng: np.random.Generator, m: int, n: int, probs) -> np.ndarray:
-    # Row blocks consume the same stream as one (m, n) draw while holding at
-    # most max(_BLOCK, n) votes in memory.
-    rows = max(1, _BLOCK // n)
-    return np.concatenate(
-        [(rng.random((min(rows, m - i), n)) < probs).sum(axis=1) for i in range(0, m, rows)]
-    )
+    # Blocks of whole rows, or pieces of one row when a row is longer than
+    # this worker's share of the vote budget, consume the same stream as one
+    # (m, n) draw.
+    budget = max(1, _BLOCK // (4 * _WORKERS))
+    rows, cols = max(1, budget // n), min(n, budget)
+    probs = np.broadcast_to(probs, n)
+
+    def block(i: int, j: int) -> np.ndarray:
+        return (rng.random((min(rows, m - i), min(cols, n - j))) < probs[j : j + cols]).sum(axis=1)
+
+    return np.concatenate([sum(block(i, j) for j in range(0, n, cols)) for i in range(0, m, rows)])
 
 
 def _count_correct(model: CorrelatedVoteModel, m: int, rng: np.random.Generator) -> int:
@@ -208,10 +233,14 @@ def sample_majority_rate(
     """
     trials = _checks.count(trials, "trials")
     base = _checks.count(seed, "seed", minimum=-math.inf) % (1 << 63)
-    hits = sum(
-        _count_correct(model, min(_CHUNK, trials - start), np.random.default_rng([base, start // _CHUNK]))
-        for start in range(0, trials, _CHUNK)
-    )
+    pending: collections.deque = collections.deque()  # at most two chunks per worker in flight
+    hits = 0
+    for start in range(0, trials, _CHUNK):
+        if len(pending) == 2 * _WORKERS:
+            hits += pending.popleft().result()
+        rng = np.random.default_rng([base, start // _CHUNK])
+        pending.append(_pool().submit(_count_correct, model, min(_CHUNK, trials - start), rng))
+    hits += sum(future.result() for future in pending)
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SampleResult(estimate, stderr)

@@ -60,7 +60,7 @@ class CompetenceVector:
     probs: tuple[float, ...]
 
     def __init__(self, probs: Iterable[float]):
-        row = _checks.competences([list(probs)], "competence")[0]
+        row = _checks.competences([probs], "competence")[0]
         object.__setattr__(self, "probs", tuple(row.tolist()))
 
     def __len__(self) -> int:
@@ -95,7 +95,7 @@ def _pmf(rows: np.ndarray) -> np.ndarray:
 
 def vote_distribution(p: Iterable[float]) -> tuple[float, ...]:
     """Exact distribution of the correct-vote count: ``mass[k] = Pr(Z_n = k)``."""
-    return tuple(_pmf(_checks.competences([list(p)], "competence"))[0].tolist())
+    return tuple(_pmf(_checks.competences([p], "competence"))[0].tolist())
 
 
 def _check_tie_rule(n: int, rule: MajorityRule) -> None:
@@ -150,7 +150,7 @@ def majority_prob_heterogeneous(
     Agrees with :func:`majority_prob_homogeneous` when all entries are equal
     and with exhaustive enumeration over the 2^n vote patterns.
     """
-    return majority_prob_rows([list(p)], rule)[0]
+    return majority_prob_rows([p], rule)[0]
 
 
 def majority_prob_rows(
@@ -202,7 +202,7 @@ def majorizes(a: Iterable[float], b: Iterable[float]) -> bool:
     Both juries, of one size, are sorted in non-increasing order first; total
     sums may differ (the comparison at j = n is an inequality like the others).
     """
-    rows = _checks.competences([list(a), list(b)], "competence").tolist()
+    rows = _checks.competences([a, b], "competence").tolist()
     prefix_a, prefix_b = (accumulate(sorted(row, reverse=True)) for row in rows)
     return all(x >= y for x, y in zip(prefix_a, prefix_b))
 

@@ -1,5 +1,9 @@
 """Moment bound for correlated voters and the samplers that probe it."""
 
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from jurylearn import (
     model_moments,
     sample_majority_rate,
 )
+from jurylearn import correlation
 from jurylearn.correlation import parse_model
 
 from oracles import frechet_first_violation, sample_many_with_mean
@@ -270,6 +275,46 @@ class TestSampling:
     def test_chunk_boundary_results_are_pinned(self, model, one_chunk, two_chunks):
         assert tuple(sample_majority_rate(model, 65_536, 7)) == one_chunk
         assert tuple(sample_majority_rate(model, 65_537, 7)) == two_chunks
+
+    # The pool sums exact per-chunk hit counts, so every pool size (and the
+    # per-worker block size derived from it) gives the sequential sum.
+    POOLED = {
+        "commoncoin-odd": CommonCoin(5, 0.6, 0.4),
+        "commoncoin-even": CommonCoin(4, 0.6, 0.3),
+        "independent-odd": Independent((0.6, 0.7, 0.55)),
+        "independent-even": Independent((0.6, 0.7, 0.55, 0.8)),
+        "exactmajority": ExactMajoritySet(5),
+    }
+
+    @pytest.mark.parametrize("model", POOLED.values(), ids=POOLED.keys())
+    def test_pool_matches_a_sequential_run(self, model, monkeypatch):
+        chunk, seed = 65_536, 5
+        for trials in (1, chunk, chunk + 1, 16 * chunk + 3):
+            hits = sum(
+                correlation._count_correct(model, min(chunk, trials - start), np.random.default_rng([seed, start // chunk]))
+                for start in range(0, trials, chunk)
+            )
+            for workers in (1, 2, 3):
+                with ThreadPoolExecutor(workers) as pool, monkeypatch.context() as patch:
+                    patch.setattr(correlation, "_WORKERS", workers)
+                    patch.setattr(correlation, "_pool", lambda: pool)
+                    assert sample_majority_rate(model, trials, seed).estimate == hits / trials
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_pool_of_its_own(self):
+        # a forked child inherits the parent's pool object but none of its
+        # threads, so reusing that pool would wait forever
+        model, trials = CommonCoin(5, 0.6, 0.3), 3 * 65_536
+        expected = sample_majority_rate(model, trials, 1)  # the parent's pool is running now
+        context = multiprocessing.get_context("fork")
+        results = context.SimpleQueue()
+        child = context.Process(target=lambda: results.put(sample_majority_rate(model, trials, 1)))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        child.kill()
+        child.join()
+        assert not hung and results.get() == expected
 
 
 class TestParseModel:

@@ -152,6 +152,12 @@ REJECTED = {
     "critical_group_rate(2 * 10**5000)": lambda: critical_group_rate(2 * 10**5000),
     "figure_table(10**5000)": lambda: figure_table(10**5000),
     "cost_to_reach(3, 10**5000)": lambda: cost_to_reach(3, 10**5000, LinearProfile(1.0)),
+    # text is one value, not a jury of its characters
+    "CompetenceVector('11')": lambda: CompetenceVector("11"),
+    "majority_prob_heterogeneous('111')": lambda: majority_prob_heterogeneous("111"),
+    "Independent('101')": lambda: Independent("101"),
+    "majority_prob_rows(text row beside a list)": lambda: majority_prob_rows([[0.6, 0.7], "11"]),
+    "DynamicsConfig(initial='11')": lambda: _config(n=2, initial="11"),
 }
 
 
