@@ -35,7 +35,6 @@ import collections
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
@@ -64,7 +63,11 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 
 
 @functools.cache
-def _pool() -> ThreadPoolExecutor:
+def _pool():
+    # imported on first use: concurrent.futures (and the logging it loads)
+    # would add about 10 ms to every start of the command line
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(_WORKERS, thread_name_prefix="jurylearn-sampler")
 
 
