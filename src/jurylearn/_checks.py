@@ -1,20 +1,21 @@
 """Domain checks and the text grammar shared by the public entry points.
 
 Each check returns its value as ``int``, ``float``, an enum member or
-(``competences``, the jury check) a numpy matrix, or raises DomainError;
-nan, +-inf and integers too large for a float (read as +-inf, like their
-text) fail every float test below.  The numeric checks take text as well
-as numbers (``count("3.0")`` is 3), and text that is not a number fails
-like any other out-of-domain value, so parsers hand field text straight to
-the constructors that check it.  ``items`` and ``spec`` split the comma
-lists and ``kind:key=value,...`` forms of juries, profiles and vote models.
+(``competences``, the jury check) tuples of plain floats, or raises
+DomainError; nan, +-inf and integers too large for a float (read as +-inf,
+like their text) fail every float test below.  No check needs numpy, so a
+command that never folds or samples starts without importing it.  The
+numeric checks take text as well as numbers (``count("3.0")`` is 3), and
+text that is not a number fails like any other out-of-domain value, so
+parsers hand field text straight to the constructors that check it.
+``items`` and ``spec`` split the comma lists and ``kind:key=value,...``
+forms of juries, profiles and vote models.
 """
 
 import math
 from enum import Enum
-from typing import Iterable, Sequence
-
-import numpy as np
+from itertools import chain
+from typing import Iterable
 
 from .errors import DomainError
 
@@ -77,32 +78,54 @@ def non_negative(value, name: str) -> float:
     return x
 
 
-def competences(rows: Sequence[Sequence], name: str) -> np.ndarray:
-    """Juries as rows of competences in [0, 1], as one float matrix.
+def _nested(x) -> bool:
+    # numpy's reading of a jury entry: a list, a bytearray or a 1-d array is
+    # a row of values; text, a numpy scalar and a 0-d array are one value
+    return not isinstance(x, (str, bytes, dict)) and hasattr(x, "__getitem__") and getattr(x, "ndim", 1) != 0
 
-    An entry that is not a number, uneven rows, a row given as text (``"11"``
-    is not the jury (1, 1)), a jury of no voters and any value outside
-    [0, 1] raise DomainError; a value is reported as the float it reads as,
-    so text and numbers get one message.
+
+def competences(rows: Iterable[Iterable], name: str) -> list[tuple[float, ...]]:
+    """Juries as rows of competences in [0, 1], each a tuple of plain floats.
+
+    A row given as text (``"11"`` is not the jury (1, 1)), an entry that is
+    itself a row, an entry that is not a number, uneven rows, a jury of no
+    voters and any value outside [0, 1] raise DomainError; every entry is
+    read before any is range-checked, and a value is reported as the float
+    it reads as, so text and numbers get one message.
     """
+    uneven = DomainError(f"expected rows of {name} values, all of one length")
     try:
-        matrix = np.array(rows, dtype=float)  # a text row reads as one number, so ndim < 2
+        rows = list(rows)
+        if any(issubclass(kind, (str, bytes)) for kind in set(map(type, rows))):
+            raise TypeError
+        rows = [tuple(row) for row in rows]
+    except TypeError:  # a text, a bare number or no sequence of rows at all
+        raise uneven from None
+    entries = list(chain.from_iterable(rows))
+    kinds = set(map(type, entries))
+    odd = kinds - {float, int, str}  # the kinds that might hold a row
+    try:
+        if odd and any(_nested(x) for x in entries if type(x) in odd):
+            raise TypeError  # the read below names whichever bad entry comes first
+        values = entries if kinds == {float} else list(map(float, entries))  # one pass in C
     except (TypeError, ValueError, OverflowError):  # read entry by entry to say why
-        try:
-            rows = [[number(x, name) for x in (None if isinstance(row, str) else row)] for row in rows]
-        except TypeError:  # a bare number or a text among the rows
-            rows = []
-        matrix = np.array(rows) if len(set(map(len, rows))) == 1 else np.empty(0)
-    if matrix.ndim != 2:
-        raise DomainError(f"expected rows of {name} values, all of one length")
-    if matrix.shape[1] == 0:
+        values = []
+        for x in entries:
+            if _nested(x):
+                raise uneven from None
+            values.append(number(x, name))
+    if len(set(map(len, rows))) != 1:
+        raise uneven
+    n = len(rows[0])
+    if n == 0:
         raise DomainError("a jury needs at least one voter")
-    outside = ~((matrix >= 0.0) & (matrix <= 1.0))  # nan fails both tests
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
-        x = number(rows[i][j], name)  # numpy reads None as nan; it is not a number
+    # nan passes min and max unseen, but not the sum
+    if not (0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))):
+        x = next(x for x in values if not 0.0 <= x <= 1.0)  # nan fails both tests
         raise DomainError(f"{name} must lie in [0.0, 1.0], got {x!r}")
-    return matrix
+    if values is entries:  # every entry was a plain float already
+        return rows
+    return list(zip(*[iter(values)] * n))  # n values to a row
 
 
 def time_grid(values: Iterable[float]) -> list[float]:

@@ -36,13 +36,14 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from . import _checks
 from .errors import DomainError, InfeasibleCovarianceError
 from .votemath import CompetenceVector
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it, on their first call
+    import numpy as np
 
 __all__ = [
     "CovarianceSpec",
@@ -89,6 +90,8 @@ class CovarianceSpec:
     cov: np.ndarray = field(repr=False)
 
     def __init__(self, p: Iterable[float], cov: np.ndarray):
+        import numpy as np
+
         object.__setattr__(self, "p", CompetenceVector(p))
         try:
             matrix = np.array(cov, dtype=float)
@@ -164,6 +167,8 @@ def model_moments(model: CorrelatedVoteModel) -> CovarianceSpec:
         pair = (k * (k - 1) / (n * (n - 1)) if n > 1 else 0.0) - (k / n) * (k / n)
     else:
         raise DomainError(f"unknown vote model {type(model).__name__}")
+    import numpy as np
+
     probs = np.asarray(p)
     cov = np.full((len(probs), len(probs)), pair)
     np.fill_diagonal(cov, probs * (1.0 - probs))
@@ -172,6 +177,8 @@ def model_moments(model: CorrelatedVoteModel) -> CovarianceSpec:
 
 def ladha_bound(spec: CovarianceSpec) -> float:
     """Moment-only lower bound d^2/(sigma^2 + d^2) on the correct-majority probability."""
+    import numpy as np
+
     n = len(spec.p)
     pbar = spec.p.mean()
     if pbar <= 0.5:
@@ -196,6 +203,8 @@ def _vote_totals(rng: np.random.Generator, m: int, n: int, probs) -> np.ndarray:
     # Blocks of whole rows, or pieces of one row when a row is longer than
     # this worker's share of the vote budget, consume the same stream as one
     # (m, n) draw.
+    import numpy as np
+
     budget = max(1, _BLOCK // (4 * _WORKERS))
     rows, cols = max(1, budget // n), min(n, budget)
     probs = np.broadcast_to(probs, n)
@@ -207,6 +216,8 @@ def _vote_totals(rng: np.random.Generator, m: int, n: int, probs) -> np.ndarray:
 
 
 def _count_correct(model: CorrelatedVoteModel, m: int, rng: np.random.Generator) -> int:
+    import numpy as np
+
     if isinstance(model, Independent):
         n = len(model.p)
         total = _vote_totals(rng, m, n, np.asarray(model.p.probs))
@@ -234,6 +245,8 @@ def sample_majority_rate(
     Even group sizes resolve ties with a fair coin.  The result is
     bit-identical for identical (model, trials, seed).
     """
+    import numpy as np
+
     trials = _checks.count(trials, "trials")
     base = _checks.count(seed, "seed", minimum=-math.inf) % (1 << 63)
     pending: collections.deque = collections.deque()  # at most two chunks per worker in flight

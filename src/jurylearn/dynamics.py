@@ -68,7 +68,7 @@ class DynamicsConfig:
 
     def __post_init__(self):
         n = _checks.count(self.n, "number of voters")
-        initial = tuple(_checks.competences([self.initial], "initial competence")[0].tolist())
+        initial = _checks.competences([self.initial], "initial competence")[0]
         if len(initial) != n:
             raise DomainError(f"expected {n} initial competences, got {len(initial)}")
         t_end = _checks.non_negative(self.t_end, "end time")
@@ -99,7 +99,7 @@ def _field(config: DynamicsConfig, state: tuple[float, ...]) -> tuple[float, ...
 
 def derivative_field(config: DynamicsConfig, state: Sequence[float]) -> tuple[float, ...]:
     """Instantaneous competence derivatives at ``state``."""
-    values = tuple(_checks.competences([state], "competence")[0].tolist())
+    values = _checks.competences([state], "competence")[0]
     if len(values) != config.n:
         raise DomainError(f"expected a state of length {config.n}, got {len(values)}")
     return _field(config, values)

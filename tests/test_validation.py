@@ -10,7 +10,10 @@ import io
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,7 +50,7 @@ from jurylearn import (
     sample_majority_rate,
     vote_distribution,
 )
-from jurylearn import correlation, votemath
+from jurylearn import _checks, correlation, votemath
 from jurylearn.cli import run
 from jurylearn.profiles import uniform_grid
 
@@ -186,6 +189,45 @@ BAD_JURIES = {
     "10**400": ([10**400], "{} must lie in [0.0, 1.0], got inf"),
     "no voters": ([], "a jury needs at least one voter"),
 }
+
+# How the one check reads each kind of entry: the floats it gives, or the
+# message it refuses with.  Every entry is read before any is range-checked,
+# and an entry that is itself a row is refused like uneven rows.
+UNEVEN = "expected rows of competence values, all of one length"
+
+JURY_READINGS = {
+    "nested row": ([[[0.5]]], UNEVEN),
+    "bytearray entry": ([[bytearray(b"0.5")]], UNEVEN),
+    "1-d array entry": ([[np.array([0.5])]], UNEVEN),
+    "bytes": ([[b"0.5", b" 0.25 "]], [(0.5, 0.25)]),
+    "bool": ([[True, False]], [(1.0, 0.0)]),
+    "Fraction": ([[Fraction(1, 3)]], [(0.3333333333333333,)]),
+    "Decimal": ([[Decimal("0.1")]], [(0.1,)]),
+    "np.float32": ([[np.float32(0.1)]], [(0.10000000149011612,)]),
+    "0-d array": ([[np.array(0.75)]], [(0.75,)]),
+    "numpy row": ([np.array([0.6, 0.7])], [(0.6, 0.7)]),
+    "numpy matrix": (np.array([[0.6, 0.7], [0.1, 0.2]]), [(0.6, 0.7), (0.1, 0.2)]),
+    "iterator row": ([iter([0.6, 0.7])], [(0.6, 0.7)]),
+    "' 0.5 '": ([[" 0.5 "]], [(0.5,)]),
+    "'0_5'": ([["0_5"]], "competence must lie in [0.0, 1.0], got 5.0"),
+    "[1.5, 'x']": ([[1.5, "x"]], "competence must be a number, got 'x'"),
+    "None": ([[0.5, None]], "competence must be a number, got None"),
+    "bytes row": ([b"11"], UNEVEN),
+    "no rows": ([], UNEVEN),
+}
+
+
+@pytest.mark.parametrize("rows, expected", JURY_READINGS.values(), ids=JURY_READINGS.keys())
+def test_each_kind_of_entry_reads_as_before(rows, expected):
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as info:
+            _checks.competences(rows, "competence")
+        assert str(info.value) == expected
+    else:
+        got = _checks.competences(rows, "competence")
+        assert got == expected
+        assert {type(x) for row in got for x in row} == {float}
+
 
 JURY_ENTRY_POINTS = {
     "CompetenceVector": lambda jury: CompetenceVector(jury),
