@@ -36,7 +36,7 @@ from . import _checks
 from .correlation import CovarianceSpec, ladha_bound, parse_model, sample_majority_rate
 from .csvio import CsvTable, render_row
 from .dynamics import integrate, load_scenario, parse_dynamics_config, trajectory_table
-from .errors import DomainError, IntegrationFailureError, NotConvergedError
+from .errors import DomainError, IntegrationFailureError
 from .figures import FIGURE_IDS, figure_table
 from .profiles import parse_profile, uniform_grid
 from .tradeoff import asymptotic_rate_check, cost_curve, fixed_budget_compare
@@ -71,7 +71,7 @@ def _cmd_majority(args) -> tuple[float]:
 
 
 def _cmd_extremal(args) -> tuple[float, ...]:
-    return hoeffding_extremal(args.n, args.pbar).probs
+    return hoeffding_extremal(args.n, args.pbar)
 
 
 def _cmd_majorize(args) -> tuple[bool]:
@@ -218,7 +218,7 @@ def run(argv: list[str]) -> int:
     try:
         result = args.handler(args)
         output = result.render() if isinstance(result, CsvTable) else render_row(result)
-    except (DomainError, NotConvergedError, IntegrationFailureError) as exc:
+    except (DomainError, IntegrationFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

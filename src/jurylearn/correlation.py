@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from . import _checks
 from .errors import DomainError, InfeasibleCovarianceError
-from .votemath import CompetenceVector
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it, on their first call
     import numpy as np
@@ -86,13 +85,13 @@ class CovarianceSpec:
     bound is evaluated.
     """
 
-    p: CompetenceVector
+    p: tuple[float, ...]
     cov: np.ndarray = field(repr=False)
 
     def __init__(self, p: Iterable[float], cov: np.ndarray):
         import numpy as np
 
-        object.__setattr__(self, "p", CompetenceVector(p))
+        object.__setattr__(self, "p", _checks.competences([p], "competence")[0])
         try:
             matrix = np.array(cov, dtype=float)
         except (TypeError, ValueError, OverflowError):
@@ -104,7 +103,7 @@ class CovarianceSpec:
             raise DomainError("covariance entries must be finite")
         if not np.array_equal(matrix, matrix.T):
             raise DomainError("covariance matrix must be symmetric")
-        probs = np.asarray(self.p.probs)
+        probs = np.asarray(self.p)
         if np.max(np.abs(np.diag(matrix) - probs * (1.0 - probs))) > 1e-12:
             raise DomainError("diagonal entries must equal p_i*(1 - p_i)")
         q = 1.0 - probs
@@ -124,10 +123,10 @@ class CovarianceSpec:
 
 @dataclass(frozen=True)
 class Independent:
-    p: CompetenceVector
+    p: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", CompetenceVector(self.p))
+        object.__setattr__(self, "p", _checks.competences([self.p], "competence")[0])
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ CorrelatedVoteModel = Union[Independent, CommonCoin, ExactMajoritySet]
 def model_moments(model: CorrelatedVoteModel) -> CovarianceSpec:
     """Closed-form means and pairwise covariances of a vote model."""
     if isinstance(model, Independent):
-        p, pair = model.p.probs, 0.0
+        p, pair = model.p, 0.0
     elif isinstance(model, CommonCoin):
         p, pair = [model.p] * model.n, model.mix * (model.p * (1.0 - model.p))
     elif isinstance(model, ExactMajoritySet):
@@ -180,7 +179,7 @@ def ladha_bound(spec: CovarianceSpec) -> float:
     import numpy as np
 
     n = len(spec.p)
-    pbar = spec.p.mean()
+    pbar = math.fsum(spec.p) / n
     if pbar <= 0.5:
         raise DomainError(f"bound requires mean competence > 1/2, got {pbar!r}")
     sigma2 = float(np.diag(spec.cov).sum() + 2.0 * np.triu(spec.cov, 1).sum())
@@ -220,7 +219,7 @@ def _count_correct(model: CorrelatedVoteModel, m: int, rng: np.random.Generator)
 
     if isinstance(model, Independent):
         n = len(model.p)
-        total = _vote_totals(rng, m, n, np.asarray(model.p.probs))
+        total = _vote_totals(rng, m, n, np.asarray(model.p))
     elif isinstance(model, CommonCoin):
         n = model.n
         copied = rng.random(m) < model.mix

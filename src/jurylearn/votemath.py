@@ -55,7 +55,8 @@ class MajorityRule(Enum):
 
 @dataclass(frozen=True)
 class CompetenceVector:
-    """Per-voter correctness probabilities ``(p_1, ..., p_n)``, n >= 1."""
+    """Per-voter competences ``(p_1, ..., p_n)``, n >= 1; no function returns or stores
+    one, and it is kept only because the benchmark tracer names it."""
 
     probs: tuple[float, ...]
 
@@ -162,7 +163,7 @@ def majority_prob_rows(
     """:func:`majority_prob_heterogeneous` of each row, in one batched fold.
 
     ``states`` holds one jury per row, every row of the same length n >= 1;
-    ``_checks.competences`` checks every entry, as for ``CompetenceVector``.
+    ``_checks.competences`` checks every entry, as for every jury argument.
     """
     rows = _checks.competences(states, "competence")
     n = len(rows[0])
@@ -179,14 +180,14 @@ def derivative_at_half(n: int) -> Fraction:
     return Fraction(n * math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))
 
 
-def hoeffding_extremal(n: int, pbar: float) -> CompetenceVector:
+def hoeffding_extremal(n: int, pbar: float) -> tuple[float, ...]:
     """Jury of mean competence pbar built from certain voters plus one fractional one.
 
-    Hoeffding's extremal composition: floor(pbar*n) voters at 1, one voter
-    holding the fractional remainder, the rest at 0.  Whenever the certain
-    voters already form a majority (pbar >= ceil(n/2)/n) this jury decides
-    correctly with probability exactly 1; below that mean the composition
-    is generally not optimal.
+    Hoeffding's extremal composition, as a tuple of n plain floats: floor(pbar*n)
+    voters at 1.0, one holding the remainder in [0, 1), the rest at 0.0.
+    Whenever the certain voters already form a majority (pbar >= ceil(n/2)/n)
+    this jury decides correctly with probability exactly 1; below that mean
+    the composition is generally not optimal.
     """
     n = _checks.count(n, "group size")
     pbar = _checks.within(pbar, "mean competence")
@@ -196,7 +197,7 @@ def hoeffding_extremal(n: int, pbar: float) -> CompetenceVector:
     probs = (1.0,) * ones
     if ones < n:
         probs += (frac,) + (0.0,) * (n - ones - 1)
-    return CompetenceVector(probs)
+    return probs
 
 
 def majorizes(a: Iterable[float], b: Iterable[float]) -> bool:

@@ -100,9 +100,9 @@ def test_criterion_03_extremal_jury():
     jury = hoeffding_extremal(3, 0.7)
     composition_ok = (
         len(jury) == 3
-        and abs(jury.probs[0] - 1.0) == 0.0
-        and abs(jury.probs[1] - 1.0) == 0.0
-        and abs(jury.probs[2] - 0.1) <= 1e-12
+        and abs(jury[0] - 1.0) == 0.0
+        and abs(jury[1] - 1.0) == 0.0
+        and abs(jury[2] - 0.1) <= 1e-12
     )
     prob_ok = majority_prob_heterogeneous(jury) == 1.0
     check(3, "extremal jury (1, 1, 0.1) decides correctly with probability 1",

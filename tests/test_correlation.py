@@ -113,7 +113,7 @@ class TestModelMoments:
 
     def test_exact_majority_set_three(self):
         spec = model_moments(ExactMajoritySet(3))
-        assert spec.p.probs == pytest.approx([2 / 3] * 3, abs=1e-15)
+        assert spec.p == pytest.approx([2 / 3] * 3, abs=1e-15)
         off = spec.cov[~np.eye(3, dtype=bool)]
         assert off == pytest.approx([-1 / 9] * 6, abs=1e-12)
 
@@ -321,7 +321,7 @@ class TestParseModel:
     def test_independent(self):
         model = parse_model("independent:probs=0.6,0.7,0.8")
         assert isinstance(model, Independent)
-        assert model.p.probs == (0.6, 0.7, 0.8)
+        assert model.p == (0.6, 0.7, 0.8)
 
     def test_commoncoin(self):
         model = parse_model("commoncoin:p=0.6,lambda=0.5,n=5")

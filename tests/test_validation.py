@@ -301,6 +301,36 @@ def test_plain_competences_read_like_a_competence_vector(name, form):
     assert call(PLAIN_JURIES[form]()) == call(CompetenceVector(JURY))
 
 
+# Every jury the library stores or returns is the checked tuple of plain
+# floats, whatever form it was handed in as.
+
+STORED_JURIES = {
+    "CovarianceSpec": lambda jury: CovarianceSpec(jury, COV).p,
+    "Independent": lambda jury: Independent(jury).p,
+    "model_moments(Independent)": lambda jury: model_moments(Independent(jury)).p,
+    "DynamicsConfig": lambda jury: _config(n=len(JURY), initial=jury).initial,
+    "trajectory states": lambda jury: integrate(_config(n=len(JURY), initial=jury)).states[0],
+}
+
+
+@pytest.mark.parametrize("form", [*PLAIN_JURIES, "CompetenceVector"])
+@pytest.mark.parametrize("name", STORED_JURIES)
+def test_a_stored_jury_is_the_checked_tuple(name, form):
+    def jury():
+        return CompetenceVector(JURY) if form == "CompetenceVector" else PLAIN_JURIES[form]()
+
+    got = STORED_JURIES[name](jury())
+    assert type(got) is tuple and {type(x) for x in got} == {float}
+    assert got == _checks.competences([jury()], "competence")[0] == JURY
+
+
+@pytest.mark.parametrize("n, pbar", [(3, 0.7), (3, 1.0), (5, 0.0), (5, 0.5), ("4", "0.6")])
+def test_the_extremal_jury_is_a_tuple_of_floats(n, pbar):
+    jury = hoeffding_extremal(n, pbar)
+    assert type(jury) is tuple and {type(x) for x in jury} == {float}
+    assert jury == _checks.competences([jury], "competence")[0]
+
+
 def test_checked_text_is_the_value_used():
     settled = integrate(_config(leader_gain=0.0))
     assert classify_outcome(settled, "0.01") == classify_outcome(settled, 0.01)
