@@ -27,6 +27,8 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def _render_cell(cell: Cell) -> str:
+    if type(cell) is float:  # most cells; subclasses take the branch below
+        return repr(cell)
     if isinstance(cell, bool):
         return "true" if cell else "false"
     if isinstance(cell, float):

@@ -8,17 +8,18 @@ including themselves, so an isolated voter simply stays put).  The windowed
 variant can fragment the group into clusters that stop improving, which
 caps the group competence below 1.
 
-Integration is classical fixed-step 4th-order Runge-Kutta over tuples of
-plain floats, each mean a left-to-right sum; a fixed step and a fixed
-summation order keep trajectories bit-reproducible on every supported
-Python (the means use ``reduce(add, ...)``, since the built-in ``sum``
-compensates float sums from Python 3.12).  States are clipped to [0, 1]
-after each step and the number of clipped components is recorded (it stays
-0 for the global-mean model, whose field points inward).
+Integration is classical fixed-step 4th-order Runge-Kutta over plain
+floats, each mean a left-to-right sum; a fixed step and a fixed summation
+order keep trajectories bit-reproducible on every supported Python (the
+built-in ``sum`` compensates float sums from Python 3.12).  The field is
+built once per config, branch and ``multiplier * gain`` chosen up front,
+with the same products and sums as the model's terms.  States are clipped
+to [0, 1] after each step and the number of clipped components is recorded
+(it stays 0 for the global-mean model, whose field points inward).
 
-The group competence along a trajectory comes from one batched call to the
-exact majority machinery over all stored states; even group sizes use the
-fair-coin tie rule.
+The group competence along a trajectory comes from one batched fold of the
+exact majority machinery over all stored states, already clipped and
+finite, so unchecked; even group sizes use the fair-coin tie rule.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from enum import Enum
 from functools import reduce
 from importlib import resources
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import _checks
 from .csvio import CsvTable
 from .errors import DomainError, IntegrationFailureError, NotConvergedError
-from .votemath import MajorityRule, majority_prob_rows
+from .votemath import _majority_rows
 
 __all__ = [
     "DynamicsConfig",
@@ -84,17 +85,29 @@ class DynamicsConfig:
         object.__setattr__(self, "window", window)
 
 
-def _field(config: DynamicsConfig, state: tuple[float, ...]) -> tuple[float, ...]:
+def _field_of(config: DynamicsConfig) -> Callable[[Sequence[float]], list[float]]:
+    gain = config.leader_multiplier * config.leader_gain
     window = config.window
-    lead = config.leader_multiplier * config.leader_gain * (1.0 - state[0])
     if window is None:  # one mean for every follower keeps the global model O(n)
-        mean = reduce(add, state, 0.0) / len(state)
-        return (lead,) + tuple(mean - x for x in state[1:])
-    d = [lead]
-    for x in state[1:]:
-        nearby = [y for y in state if abs(y - x) <= window]
-        d.append(reduce(add, nearby, 0.0) / len(nearby) - x)
-    return tuple(d)
+        def field(state):
+            mean = reduce(add, state, 0.0) / len(state)
+            return [gain * (1.0 - state[0])] + [mean - x for x in state[1:]]
+
+        return field
+
+    def field(state):
+        d = [gain * (1.0 - state[0])]
+        for x in state[1:]:
+            total = 0.0
+            count = 0
+            for y in state:
+                if abs(y - x) <= window:
+                    total += y
+                    count += 1
+            d.append(total / count - x)
+        return d
+
+    return field
 
 
 def derivative_field(config: DynamicsConfig, state: Sequence[float]) -> tuple[float, ...]:
@@ -102,7 +115,7 @@ def derivative_field(config: DynamicsConfig, state: Sequence[float]) -> tuple[fl
     values = _checks.competences([state], "competence")[0]
     if len(values) != config.n:
         raise DomainError(f"expected a state of length {config.n}, got {len(values)}")
-    return _field(config, values)
+    return tuple(_field_of(config)(values))
 
 
 @dataclass(frozen=True)
@@ -127,31 +140,36 @@ def integrate(config: DynamicsConfig) -> Trajectory:
     multiple of the step size for exact endpoints.
     """
     h = config.step
+    half = 0.5 * h  # 0.5 * h * b already multiplies as (0.5 * h) * b
+    sixth = h / 6.0
     steps = int(round(config.t_end / h))
+    field = _field_of(config)
 
     y = config.initial
     states = [y]
     clamp_count = 0
     for k in range(steps):
-        k1 = _field(config, y)
-        k2 = _field(config, tuple(a + 0.5 * h * b for a, b in zip(y, k1)))
-        k3 = _field(config, tuple(a + 0.5 * h * b for a, b in zip(y, k2)))
-        k4 = _field(config, tuple(a + h * b for a, b in zip(y, k3)))
-        y = tuple(
-            a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        k1 = field(y)
+        k2 = field([a + half * b for a, b in zip(y, k1)])
+        k3 = field([a + half * b for a, b in zip(y, k2)])
+        k4 = field([a + h * b for a, b in zip(y, k3)])
+        y = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        )
+        ]
         if not all(map(math.isfinite, y)):
             raise IntegrationFailureError(f"non-finite state at t = {(k + 1) * h}")
-        clamp_count += sum(not 0.0 <= x <= 1.0 for x in y)
-        y = tuple(min(max(x, 0.0), 1.0) for x in y)
+        if min(y) < 0.0 or max(y) > 1.0:
+            clamp_count += sum(not 0.0 <= x <= 1.0 for x in y)
+            y = [min(max(x, 0.0), 1.0) for x in y]
+        y = tuple(y)
         states.append(y)
 
     return Trajectory(
         config=config,
         times=tuple(k * h for k in range(steps + 1)),
         states=tuple(states),
-        group_curve=tuple(majority_prob_rows(states, MajorityRule.FAIR_COIN)),
+        group_curve=tuple(_majority_rows(states)),  # checked, clamped rows; FAIR_COIN ties
         clamp_count=clamp_count,
     )
 

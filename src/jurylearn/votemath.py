@@ -166,8 +166,13 @@ def majority_prob_rows(
     ``_checks.competences`` checks every entry, as for every jury argument.
     """
     rows = _checks.competences(states, "competence")
+    _check_tie_rule(len(rows[0]), rule)
+    return _majority_rows(rows)
+
+
+def _majority_rows(rows: Sequence[Sequence[float]]) -> list[float]:
+    # The fold and tail of checked rows of equal length; an even n scores a tie as FAIR_COIN.
     n = len(rows[0])
-    _check_tie_rule(n, rule)
     return [_tail_from_mass(mass, n) for mass in _pmf(rows).tolist()]
 
 

@@ -147,19 +147,23 @@ def numpy_field(config, state: np.ndarray) -> np.ndarray:
     return d
 
 
-def numpy_rk4_states(config) -> list[tuple[float, ...]]:
-    """Fixed-step RK4 states from t = 0, clipped to [0, 1] after each step."""
+def numpy_rk4_states(config) -> tuple[list[tuple[float, ...]], int]:
+    """Fixed-step RK4 states from t = 0, clipped to [0, 1] after each step,
+    and the number of components the clipping moved."""
     h = config.step
     y = np.asarray(config.initial, dtype=float)
     states = [tuple(float(x) for x in y)]
+    clamps = 0
     for _ in range(int(round(config.t_end / h))):
         k1 = numpy_field(config, y)
         k2 = numpy_field(config, y + 0.5 * h * k1)
         k3 = numpy_field(config, y + 0.5 * h * k2)
         k4 = numpy_field(config, y + h * k3)
-        y = np.clip(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, 1.0)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        clamps += int(np.count_nonzero((y < 0.0) | (y > 1.0)))
+        y = np.clip(y, 0.0, 1.0)
         states.append(tuple(float(x) for x in y))
-    return states
+    return states, clamps
 
 
 def frechet_first_violation(probs: np.ndarray, matrix: np.ndarray):

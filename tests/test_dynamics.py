@@ -74,6 +74,13 @@ class TestDerivativeField:
             assert derivative_field(cfg, state) == expected
 
 
+    def test_window_boundary_counts_as_inside(self):
+        # |0.75 - 0.5| and |0.25 - 0.5| are exactly 0.25: each follower sees voter 1
+        cfg = _config(initial=(0.5, 0.75, 0.25), window=0.25)
+        d = derivative_field(cfg, (0.5, 0.75, 0.25))
+        assert type(d) is tuple
+        assert d == (0.1 * 0.5, 0.625 - 0.75, 0.375 - 0.25)
+
     @pytest.mark.parametrize("window", [None, 1.0])
     def test_means_are_left_to_right_sums_on_every_python(self, window):
         # ten 0.1s sum to 0.9999999999999999 left to right but to 1.0 under the
@@ -123,22 +130,63 @@ class TestIntegrate:
         initial = tuple(rng.random() for _ in range(n))
         cfg = _config(n=n, initial=initial, t_end=2.0, step=0.01, window=window)
         traj = integrate(cfg)
-        expected = numpy_rk4_states(cfg)
+        expected, _ = numpy_rk4_states(cfg)
         assert len(traj.states) == len(expected)
         for state, oracle in zip(traj.states, expected):
             assert state == pytest.approx(oracle, abs=1e-12)
+
+    def test_matches_numpy_oracle_bit_for_bit_up_to_seven_voters(self):
+        # a leader rate up to 75 per unit time makes RK4 overshoot, so the clamp
+        # runs too: the leader falls below 0, and in the last config its stages
+        # alone overshoot and pull the follower at 1 above 1
+        rng = random.Random(26)
+        configs = []
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            step = rng.uniform(0.001, 0.1)
+            cfg = _config(
+                n=n,
+                initial=tuple(rng.random() for _ in range(n)),
+                leader_gain=rng.uniform(0.0, 30.0),
+                leader_multiplier=2.5,
+                t_end=rng.randint(1, 60) * step,
+                step=step,
+                window=rng.choice([None, 0.05, 0.15, 1.0]),
+            )
+            configs.append(cfg)
+        configs.append(_config(n=2, initial=(0.2, 1.0), leader_gain=11.2, leader_multiplier=2.5, t_end=1.0, step=0.1))
+        clamped = 0
+        for cfg in configs:
+            traj = integrate(cfg)
+            states, clamps = numpy_rk4_states(cfg)
+            assert traj.states == tuple(states), cfg
+            assert traj.clamp_count == clamps, cfg
+            clamped += clamps > 0
+        assert clamped >= 10
+
+    def test_window_boundary_member_moves_in_one_step(self):
+        # with the boundary outside, every follower would see only itself and stay put
+        cfg = _config(initial=(0.5, 0.75, 0.25), leader_gain=0.0, t_end=0.01, window=0.25)
+        traj = integrate(cfg)
+        assert traj.states[1] == numpy_rk4_states(cfg)[0][1]
+        assert traj.states[1][0] == 0.5
+        assert traj.states[1][1] < 0.75 and traj.states[1][2] > 0.25
 
     def test_global_model_never_clamps(self):
         assert integrate(_config()).clamp_count == 0
 
     def test_group_curve_matches_majority(self):
-        from jurylearn import CompetenceVector, MajorityRule, majority_prob_heterogeneous
+        from jurylearn import MajorityRule, majority_prob_heterogeneous
 
-        for name in ("drift3", "window4-lowstart"):
-            traj = integrate(load_scenario(name))
-            expected = tuple(
-                majority_prob_heterogeneous(CompetenceVector(s), MajorityRule.FAIR_COIN) for s in traj.states
-            )
+        clamping = _config(
+            n=4, initial=(0.6, 0.5, 0.45, 0.4), leader_gain=20.0, leader_multiplier=2.5, t_end=1.0, step=0.1,
+            window=0.15,
+        )
+        trajectories = {name: integrate(load_scenario(name)) for name in list_scenarios()}
+        trajectories["clamping"] = integrate(clamping)
+        assert trajectories["clamping"].clamp_count > 0
+        for name, traj in trajectories.items():
+            expected = tuple(majority_prob_heterogeneous(s, MajorityRule.FAIR_COIN) for s in traj.states)
             assert traj.group_curve == expected, name
 
     def test_step_halving_consistency(self):
