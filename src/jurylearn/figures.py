@@ -27,7 +27,7 @@ from .errors import DomainError
 from .profiles import LearningProfile, LinearProfile, PlateauProfile, PowerProfile
 from .profiles import competence_curve, uniform_grid
 from .tradeoff import cost_curve, critical_group_rate, fixed_budget_compare
-from .votemath import majority_prob_homogeneous
+from .votemath import _homogeneous_tail
 
 __all__ = ["FIGURE_IDS", "figure_table"]
 
@@ -40,7 +40,7 @@ def _figure_probability_curves() -> CsvTable:
     rows = []
     for x in uniform_grid(0.5, GRID_POINTS):
         p = 0.5 + x
-        rows.append((p,) + tuple(majority_prob_homogeneous(n, p) for n in sizes))
+        rows.append((p,) + tuple(_homogeneous_tail(n, p) for n in sizes))
     return CsvTable(header, rows)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 from . import _checks
 from .errors import DomainError, UnattainableTargetError
-from .votemath import majority_prob_homogeneous
+from .votemath import MajorityRule, _check_tie_rule, _homogeneous_tail, majority_prob_homogeneous
 
 __all__ = [
     "LinearProfile",
@@ -127,7 +127,9 @@ def competence_curve(
     """``group_competence`` along an ascending grid of total times."""
     grid = _checks.time_grid(t_grid)
     n = _checks.count(n, "group size")
-    return [(t, group_competence(profile, n, t)) for t in grid]
+    if grid:
+        _check_tie_rule(n, MajorityRule.FAIL)
+    return [(t, _homogeneous_tail(n, profile.evaluate(t / n))) for t in grid]
 
 
 def uniform_grid(t_max: float, points: int) -> list[float]:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import _checks
 from .errors import DomainError, UnattainableTargetError
 from .profiles import LearningProfile, LinearProfile, competence_curve
-from .votemath import derivative_at_half, majority_prob_homogeneous
+from .votemath import _homogeneous_tail, derivative_at_half
 
 __all__ = [
     "critical_group_rate",
@@ -113,7 +113,7 @@ def _invert_majority(n: int, target: float) -> float:
     lo, hi = 0.5, 1.0
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if majority_prob_homogeneous(n, mid) < target:
+        if _homogeneous_tail(n, mid) < target:
             lo = mid
         else:
             hi = mid
@@ -129,7 +129,7 @@ def cost_to_reach(n: int, target: float, profile: LearningProfile) -> CostResult
         raise DomainError(
             f"target competence must lie strictly between 1/2 and 1, got {_checks.shown(target)}"
         )
-    reachable = majority_prob_homogeneous(n, profile.sup_competence)
+    reachable = _homogeneous_tail(n, profile.sup_competence)
     if p > reachable + 1e-12:
         raise UnattainableTargetError(
             f"group of {n} tops out at competence {reachable:.6g} "

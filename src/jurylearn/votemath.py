@@ -3,13 +3,14 @@
 Voter i casts a correct vote with probability ``p_i``, independently of the
 others.  The group decision is correct when more than half the votes are
 correct; for even group sizes a tie rule must be chosen explicitly.  The
-heterogeneous case is the Poisson binomial distribution, evaluated here by
-an O(n^2) convolution DP, exact up to float rounding for juries of up to a
-few thousand voters.  It folds a whole batch of juries at once in numpy, so
-a trajectory of group states costs one call; numpy is imported by the fold
-on its first call, and nothing else here needs it.  Every function taking a
-jury accepts any sequence of competences and reads it once, by the jury
-check, into tuples of plain floats.
+heterogeneous case is the Poisson binomial distribution, evaluated here by an
+O(n^2) convolution DP, exact up to float rounding for juries of up to a few
+thousand voters.  It folds a whole batch of juries at once in numpy, so a
+trajectory of group states costs one call; numpy is imported by the fold on
+its first call, and nothing else here needs it.  Each public function checks
+its arguments once, reading a jury (any sequence of competences) into tuples
+of plain floats; the cost bisection, ``competence_curve`` and figure 1 call
+the unchecked binomial tail on checked values, so every float is the same.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe for unrestricted concurrent use.
@@ -134,8 +135,13 @@ def majority_prob_homogeneous(
     """
     n = _checks.count(n, "group size")
     p = _checks.within(p, "competence")
-    q = 1.0 - p
     _check_tie_rule(n, rule)
+    return _homogeneous_tail(n, p)
+
+
+def _homogeneous_tail(n: int, p: float) -> float:
+    # The binomial tail of a checked size and competence; an even n scores a tie as FAIR_COIN.
+    q = 1.0 - p
     h = n // 2
     c = math.comb(n, h)  # the tie binomial for even n; the rest follow exactly
     tie = 0.5 * c * p**h * q**h if n % 2 == 0 else 0.0

@@ -11,6 +11,7 @@ from jurylearn import (
     LinearProfile,
     PlateauProfile,
     PowerProfile,
+    TieRuleRequiredError,
     UnattainableTargetError,
     competence_curve,
     format_profile,
@@ -159,6 +160,26 @@ class TestCompetenceCurve:
     def test_negative_grid_rejected(self):
         with pytest.raises(DomainError):
             competence_curve(LinearProfile(1.0), 1, (-0.5, 0.2))
+
+    @given(
+        st.sampled_from([LinearProfile(0.7), PowerProfile(0.55), PowerProfile(2.0), PlateauProfile(1.0, 0.7)]),
+        st.integers(0, 100),
+        st.lists(st.floats(0.0, 50.0), max_size=20),
+    )
+    def test_curve_is_group_competence_at_every_point(self, profile, k, times):
+        # the curve checks once and calls the unchecked tail; every float must match the checked path
+        n = 2 * k + 1
+        grid = sorted([0.0, 1e200, *times])
+        assert competence_curve(profile, n, grid) == [(t, group_competence(profile, n, t)) for t in grid]
+
+    def test_even_size_refused_only_on_a_non_empty_grid(self):
+        assert competence_curve(LinearProfile(1.0), 4, []) == []
+        with pytest.raises(TieRuleRequiredError, match=r"^group size 4 is even; choose a tie rule such as FAIR_COIN$"):
+            competence_curve(LinearProfile(1.0), 4, [0.5])
+
+    def test_grid_is_checked_before_the_size(self):
+        with pytest.raises(DomainError, match=r"^time grid must be sorted ascending$"):
+            competence_curve(LinearProfile(1.0), 0, [0.5, 0.2])
 
     @given(
         st.sampled_from([LinearProfile(0.7), PowerProfile(0.55), PowerProfile(2.0), PlateauProfile(1.0, 0.7)]),

@@ -31,6 +31,7 @@ from jurylearn import (
     PowerProfile,
     asymptotic_rate_check,
     classify_outcome,
+    competence_curve,
     concentration_failure_bound,
     cost_to_reach,
     critical_group_rate,
@@ -50,7 +51,7 @@ from jurylearn import (
     sample_majority_rate,
     vote_distribution,
 )
-from jurylearn import _checks, correlation, votemath
+from jurylearn import _checks, correlation, profiles, votemath
 from jurylearn.cli import run
 from jurylearn.profiles import uniform_grid
 
@@ -371,6 +372,26 @@ def test_tie_rule_is_checked_before_the_fold(monkeypatch):
             majority_prob_heterogeneous(CompetenceVector([0.6, 0.7]), rule)
         with pytest.raises(DomainError):
             majority_prob_rows([[0.6, 0.7], [0.8, 0.9]], rule)
+
+
+def test_tie_rule_is_checked_before_the_tail(monkeypatch):
+    for module in (votemath, profiles):
+        monkeypatch.setattr(module, "_homogeneous_tail", None)  # calling the tail now raises TypeError
+    for rule in ("bogus", MajorityRule.FAIL):
+        with pytest.raises(DomainError):
+            majority_prob_homogeneous(4, 0.6, rule)
+    with pytest.raises(DomainError):
+        competence_curve(LinearProfile(1.0), 4, [0.5])
+
+
+def test_library_loops_check_each_value_once(monkeypatch):
+    calls = []
+    within = _checks.within
+    monkeypatch.setattr(_checks, "within", lambda *args, **kwargs: calls.append(args) or within(*args, **kwargs))
+    figure_table(1)
+    assert calls == []  # no check per (n, p) point: figure 1 makes its own p in [1/2, 1]
+    cost_to_reach(41, 0.9, LinearProfile(1.0))  # the profile's constructor checks with positive, not within
+    assert len(calls) == 1  # the profile's target check, not one per bisection step
 
 
 def test_power_profile_saturates_without_overflow():
