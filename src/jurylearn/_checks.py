@@ -102,12 +102,11 @@ def competences(rows: Iterable[Iterable], name: str) -> list[tuple[float, ...]]:
     except TypeError:  # a text, a bare number or no sequence of rows at all
         raise uneven from None
     entries = list(chain.from_iterable(rows))
-    kinds = set(map(type, entries))
-    odd = kinds - {float, int, str}  # the kinds that might hold a row
+    odd = set(map(type, entries)) - {float, int, str}  # the kinds that might hold a row
     try:
         if odd and any(_nested(x) for x in entries if type(x) in odd):
             raise TypeError  # the read below names whichever bad entry comes first
-        values = entries if kinds == {float} else list(map(float, entries))  # one pass in C
+        values = list(map(float, entries))  # one pass in C
     except (TypeError, ValueError, OverflowError):  # read entry by entry to say why
         values = []
         for x in entries:
@@ -123,8 +122,6 @@ def competences(rows: Iterable[Iterable], name: str) -> list[tuple[float, ...]]:
     if not (0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))):
         x = next(x for x in values if not 0.0 <= x <= 1.0)  # nan fails both tests
         raise DomainError(f"{name} must lie in [0.0, 1.0], got {x!r}")
-    if values is entries:  # every entry was a plain float already
-        return rows
     return list(zip(*[iter(values)] * n))  # n values to a row
 
 

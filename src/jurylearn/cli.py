@@ -3,7 +3,7 @@
 Subcommands (all write to stdout, or to a file via ``--out``):
 
     majority    exact majority probability (homogeneous or per-voter)
-    extremal    mean-preserving jury composition maximizing that probability
+    extremal    Hoeffding's certain-voters-plus-fraction jury, certain from mean ceil(n/2)/n
     majorize    sorted-prefix-sum dominance between two juries
     bound       moment lower bound (ladha) or tail upper bound (concentration)
     rates       critical group rates or expert thresholds, exact rationals
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tie rule for even group sizes (default: refuse)",
     )
 
-    p = add("extremal", _cmd_extremal, "probability-maximizing jury with a given mean competence")
+    p = add("extremal", _cmd_extremal, "Hoeffding's certain-voters-plus-fraction jury of a given mean competence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pbar", type=float, required=True, help="mean competence")
 

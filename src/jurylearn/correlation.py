@@ -25,8 +25,7 @@ count is an exact integer and their sum does not depend on the order the
 chunks finish in, so the estimate is the same for every pool size.  The
 workers share a budget of 2^18 votes held at once: each draws its chunk in
 blocks of at most 2^18 / workers votes (whole rows of the trials-by-voters
-matrix, or pieces of one row when a row is longer), where the sequential
-sampler held up to 2^20.
+matrix, or pieces of one row when a row is longer).
 """
 
 from __future__ import annotations

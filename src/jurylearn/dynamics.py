@@ -137,7 +137,10 @@ def integrate(config: DynamicsConfig) -> Trajectory:
     """Integrate the dynamics from t = 0 to (approximately) t_end.
 
     The horizon is rounded to a whole number of steps, so choose t_end as a
-    multiple of the step size for exact endpoints.
+    multiple of the step size for exact endpoints.  RK4 follows the leader only
+    while ``step * leader_multiplier * leader_gain`` < 2.785, the end of its real
+    stability interval (z^3 + 4z^2 + 12z + 24 = 0 at -2.785); past it the leader
+    moves away from 1 at every step, and only ``clamp_count > 0`` shows it.
     """
     h = config.step
     half = 0.5 * h  # 0.5 * h * b already multiplies as (0.5 * h) * b

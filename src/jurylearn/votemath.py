@@ -9,8 +9,8 @@ thousand voters.  It folds a whole batch of juries at once in numpy, so a
 trajectory of group states costs one call; numpy is imported by the fold on
 its first call, and nothing else here needs it.  Each public function checks
 its arguments once, reading a jury (any sequence of competences) into tuples
-of plain floats; the cost bisection, ``competence_curve`` and figure 1 call
-the unchecked binomial tail on checked values, so every float is the same.
+of plain floats; the library's own loops call the unchecked tail and fold on
+checked values, so every float is the same.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe for unrestricted concurrent use.
@@ -34,7 +34,6 @@ __all__ = [
     "vote_distribution",
     "majority_prob_homogeneous",
     "majority_prob_heterogeneous",
-    "majority_prob_rows",
     "derivative_at_half",
     "hoeffding_extremal",
     "majorizes",
@@ -160,20 +159,9 @@ def majority_prob_heterogeneous(
     Agrees with :func:`majority_prob_homogeneous` when all entries are equal
     and with exhaustive enumeration over the 2^n vote patterns.
     """
-    return majority_prob_rows([p], rule)[0]
-
-
-def majority_prob_rows(
-    states: Sequence[Sequence[float]], rule: MajorityRule = MajorityRule.FAIL
-) -> list[float]:
-    """:func:`majority_prob_heterogeneous` of each row, in one batched fold.
-
-    ``states`` holds one jury per row, every row of the same length n >= 1;
-    ``_checks.competences`` checks every entry, as for every jury argument.
-    """
-    rows = _checks.competences(states, "competence")
+    rows = _checks.competences([p], "competence")
     _check_tie_rule(len(rows[0]), rule)
-    return _majority_rows(rows)
+    return _majority_rows(rows)[0]
 
 
 def _majority_rows(rows: Sequence[Sequence[float]]) -> list[float]:

@@ -116,6 +116,20 @@ class TestIntegrate:
         flat = [x for s in traj.states for x in s]
         assert min(flat) >= 0.0 and max(flat) <= 1.0
 
+    def test_rk4_follows_the_leader_only_inside_its_stability_limit(self):
+        # step * multiplier * gain: 2.75 lies inside RK4's real stability
+        # interval (to about 2.785), 3.0 outside, where only clamping shows it
+        def run(gain):
+            return integrate(
+                DynamicsConfig(n=2, initial=(0.2, 0.5), leader_gain=gain, t_end=5.0, step=0.1, leader_multiplier=2.5)
+            )
+
+        inside, outside = run(11.0), run(12.0)
+        assert inside.clamp_count == 0
+        assert inside.final_state[0] == 0.9443678145936961
+        assert outside.clamp_count == 71
+        assert outside.final_state == (0.0, 1.0)
+
     def test_global_model_respects_initial_floor(self):
         # inward-pointing field: nobody ever sinks below the lowest start
         traj = integrate(_config())

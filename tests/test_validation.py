@@ -46,7 +46,6 @@ from jurylearn import (
     majorizes,
     majority_prob_heterogeneous,
     majority_prob_homogeneous,
-    majority_prob_rows,
     model_moments,
     sample_majority_rate,
     vote_distribution,
@@ -136,12 +135,12 @@ REJECTED = {
     "majority_prob_heterogeneous(rule='bogus')": lambda: majority_prob_heterogeneous(
         CompetenceVector([0.6, 0.7]), "bogus"
     ),
-    "majority_prob_rows(nan)": lambda: majority_prob_rows([[0.6, 0.7, 0.8], [0.6, NAN, 0.8]]),
-    "majority_prob_rows(inf)": lambda: majority_prob_rows([[0.6, INF, 0.8]]),
-    "majority_prob_rows(1.5)": lambda: majority_prob_rows([[0.6, 0.7, 1.5]]),
-    "majority_prob_rows(-0.1)": lambda: majority_prob_rows([[-0.1, 0.7, 0.8]]),
-    "majority_prob_rows(zero voters)": lambda: majority_prob_rows([[], []]),
-    "majority_prob_rows(ragged rows)": lambda: majority_prob_rows([[0.6, 0.7, 0.8], [0.6]]),
+    "majorizes(nan in the second jury)": lambda: majorizes([0.6, 0.7, 0.8], [0.6, NAN, 0.8]),
+    "majority_prob_heterogeneous(inf)": lambda: majority_prob_heterogeneous([0.6, INF, 0.8]),
+    "majority_prob_heterogeneous(1.5)": lambda: majority_prob_heterogeneous([0.6, 0.7, 1.5]),
+    "majority_prob_heterogeneous(-0.1)": lambda: majority_prob_heterogeneous([-0.1, 0.7, 0.8]),
+    "majorizes(zero voters)": lambda: majorizes([], []),
+    "majorizes(ragged juries)": lambda: majorizes([0.6, 0.7, 0.8], [0.6]),
     "derivative_field(nan, .5, .5)": lambda: _derivative(NAN, 0.5, 0.5),
     "derivative_field(inf, .5, .5)": lambda: _derivative(INF, 0.5, 0.5),
     "derivative_field(2.0, .5, .5)": lambda: _derivative(2.0, 0.5, 0.5),
@@ -160,7 +159,7 @@ REJECTED = {
     "CompetenceVector('11')": lambda: CompetenceVector("11"),
     "majority_prob_heterogeneous('111')": lambda: majority_prob_heterogeneous("111"),
     "Independent('101')": lambda: Independent("101"),
-    "majority_prob_rows(text row beside a list)": lambda: majority_prob_rows([[0.6, 0.7], "11"]),
+    "majorizes(text jury beside a list)": lambda: majorizes([0.6, 0.7], "11"),
     "DynamicsConfig(initial='11')": lambda: _config(n=2, initial="11"),
 }
 
@@ -213,6 +212,10 @@ JURY_READINGS = {
     "'0_5'": ([["0_5"]], "competence must lie in [0.0, 1.0], got 5.0"),
     "[1.5, 'x']": ([[1.5, "x"]], "competence must be a number, got 'x'"),
     "None": ([[0.5, None]], "competence must be a number, got None"),
+    # with several bad entries, the first in reading order is named
+    "[0.5, 2.0, nan]": ([[0.5, 2.0, NAN]], "competence must lie in [0.0, 1.0], got 2.0"),
+    "[nan, 2.0]": ([[NAN, 2.0]], "competence must lie in [0.0, 1.0], got nan"),
+    "-1.0 in the second row": ([[0.5, 0.5], [0.5, -1.0]], "competence must lie in [0.0, 1.0], got -1.0"),
     "bytes row": ([b"11"], UNEVEN),
     "no rows": ([], UNEVEN),
 }
@@ -232,7 +235,6 @@ def test_each_kind_of_entry_reads_as_before(rows, expected):
 
 JURY_ENTRY_POINTS = {
     "CompetenceVector": lambda jury: CompetenceVector(jury),
-    "majority_prob_rows": lambda jury: majority_prob_rows([jury]),
     "majority_prob_heterogeneous": lambda jury: majority_prob_heterogeneous(jury),
     "vote_distribution": lambda jury: vote_distribution(jury),
     "majorizes": lambda jury: majorizes(jury, jury),
@@ -370,8 +372,6 @@ def test_tie_rule_is_checked_before_the_fold(monkeypatch):
     for rule in ("bogus", MajorityRule.FAIL):
         with pytest.raises(DomainError):
             majority_prob_heterogeneous(CompetenceVector([0.6, 0.7]), rule)
-        with pytest.raises(DomainError):
-            majority_prob_rows([[0.6, 0.7], [0.8, 0.9]], rule)
 
 
 def test_tie_rule_is_checked_before_the_tail(monkeypatch):

