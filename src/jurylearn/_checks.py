@@ -36,8 +36,8 @@ def shown(value) -> str:
     return repr(value)
 
 
-def count(value, name: str, *, minimum: int = 1, odd: bool = False) -> int:
-    """An integer >= ``minimum`` (and odd, when asked); fractions are rejected."""
+def count(value, name: str, *, minimum: int = 1, maximum: float = math.inf, odd: bool = False) -> int:
+    """An integer in [``minimum``, ``maximum``] (and odd, when asked); fractions are rejected."""
     if isinstance(value, str):
         try:
             value = int(value)  # exact at any size; "3.0" goes on to the float path
@@ -51,6 +51,8 @@ def count(value, name: str, *, minimum: int = 1, odd: bool = False) -> int:
     if value < minimum or (odd and value % 2 == 0):
         kind = "an odd integer" if odd else "an integer"
         raise DomainError(f"{name} must be {kind} >= {minimum}, got {shown(value)}")
+    if value > maximum:
+        raise DomainError(f"{name} must be at most {maximum}, got {shown(value)}")
     return value
 
 

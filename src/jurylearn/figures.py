@@ -27,7 +27,7 @@ from .errors import DomainError
 from .profiles import LearningProfile, LinearProfile, PlateauProfile, PowerProfile
 from .profiles import competence_curve, uniform_grid
 from .tradeoff import cost_curve, critical_group_rate, fixed_budget_compare
-from .votemath import _homogeneous_tail
+from .votemath import _tail_of
 
 __all__ = ["FIGURE_IDS", "figure_table"]
 
@@ -37,10 +37,11 @@ GRID_POINTS = 512
 def _figure_probability_curves() -> CsvTable:
     sizes = (1, 3, 5, 7, 91)
     header = ("p",) + tuple(f"P_{n}" for n in sizes)
+    tails = [_tail_of(n) for n in sizes]
     rows = []
     for x in uniform_grid(0.5, GRID_POINTS):
         p = 0.5 + x
-        rows.append((p,) + tuple(_homogeneous_tail(n, p) for n in sizes))
+        rows.append((p,) + tuple(tail(p) for tail in tails))
     return CsvTable(header, rows)
 
 

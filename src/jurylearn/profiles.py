@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 from . import _checks
 from .errors import DomainError, UnattainableTargetError
-from .votemath import MajorityRule, _check_tie_rule, _homogeneous_tail, majority_prob_homogeneous
+from .votemath import MajorityRule, _check_tie_rule, _tail_of, majority_prob_homogeneous
 
 __all__ = [
     "LinearProfile",
@@ -127,15 +127,21 @@ def competence_curve(
     """``group_competence`` along an ascending grid of total times."""
     grid = _checks.time_grid(t_grid)
     n = _checks.count(n, "group size")
-    if grid:
-        _check_tie_rule(n, MajorityRule.FAIL)
-    return [(t, _homogeneous_tail(n, profile.evaluate(t / n))) for t in grid]
+    if not grid:
+        return []
+    _check_tie_rule(n, MajorityRule.FAIL)
+    tail = _tail_of(n)
+    return [(t, tail(profile.evaluate(t / n))) for t in grid]
+
+
+# Ceiling on uniform_grid's points (the grid is held whole), the same as dynamics.MAX_STEPS.
+MAX_POINTS = 10**6
 
 
 def uniform_grid(t_max: float, points: int) -> list[float]:
-    """``points`` equally spaced values from 0 to ``t_max``, both ends included."""
+    """``points`` (2 to ``MAX_POINTS``) equally spaced values from 0 to ``t_max``, both ends included."""
     t_max = _checks.non_negative(t_max, "t_max")
-    points = _checks.count(points, "points", minimum=2)
+    points = _checks.count(points, "points", minimum=2, maximum=MAX_POINTS)
     return [t_max * i / (points - 1) for i in range(points)]
 
 

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import _checks
 from .errors import DomainError, UnattainableTargetError
 from .profiles import LearningProfile, LinearProfile, competence_curve
-from .votemath import _homogeneous_tail, derivative_at_half
+from .votemath import _tail_of, derivative_at_half
 
 __all__ = [
     "critical_group_rate",
@@ -107,13 +107,13 @@ class CostResult(NamedTuple):
     cost: float
 
 
-def _invert_majority(n: int, target: float) -> float:
-    # Bisection on p in [1/2, 1]; the majority probability is strictly
-    # increasing there, so convergence is guaranteed.
+def _invert_majority(tail: Callable[[float], float], target: float) -> float:
+    # Bisection on p in [1/2, 1] of one group size's tail; the majority
+    # probability is strictly increasing there, so convergence is guaranteed.
     lo, hi = 0.5, 1.0
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if _homogeneous_tail(n, mid) < target:
+        if tail(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -129,13 +129,14 @@ def cost_to_reach(n: int, target: float, profile: LearningProfile) -> CostResult
         raise DomainError(
             f"target competence must lie strictly between 1/2 and 1, got {_checks.shown(target)}"
         )
-    reachable = _homogeneous_tail(n, profile.sup_competence)
+    tail = _tail_of(n)
+    reachable = tail(profile.sup_competence)
     if p > reachable + 1e-12:
         raise UnattainableTargetError(
             f"group of {n} tops out at competence {reachable:.6g} "
             f"under this profile; {p} is unreachable"
         )
-    p_star = min(_invert_majority(n, p), profile.sup_competence)
+    p_star = min(_invert_majority(tail, p), profile.sup_competence)
     t_star = profile.time_to_reach(p_star)
     return CostResult(t_star, _checks.non_negative(n * t_star, "cost"))
 

@@ -9,8 +9,10 @@ thousand voters.  It folds a whole batch of juries at once in numpy, so a
 trajectory of group states costs one call; numpy is imported by the fold on
 its first call, and nothing else here needs it.  Each public function checks
 its arguments once, reading a jury (any sequence of competences) into tuples
-of plain floats; the library's own loops call the unchecked tail and fold on
-checked values, so every float is the same.
+of plain floats.  The library's own loops call the unchecked fold on checked
+values, and build the unchecked homogeneous tail once per group size (its
+exact binomials, as floats) and then evaluate it at each checked p, so every
+float is the same as a checked call's.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe for unrestricted concurrent use.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _checks
 from .errors import TieRuleRequiredError
@@ -135,20 +137,29 @@ def majority_prob_homogeneous(
     n = _checks.count(n, "group size")
     p = _checks.within(p, "competence")
     _check_tie_rule(n, rule)
-    return _homogeneous_tail(n, p)
+    return _tail_of(n)(p)
 
 
-def _homogeneous_tail(n: int, p: float) -> float:
-    # The binomial tail of a checked size and competence; an even n scores a tie as FAIR_COIN.
-    q = 1.0 - p
+def _tail_of(n: int) -> Callable[[float], float]:
+    # The binomial tail of a checked size, as a function of a checked competence;
+    # an even n scores a tie as FAIR_COIN.  The exact recurrence runs once, and
+    # C(n, k), k and n - k are kept as the floats that ``c * p**k * q**(n - k)``
+    # converts them to, so every term is the same float.  The largest binomial is
+    # converted first: from n = 1030 the build raises OverflowError.
     h = n // 2
     c = math.comb(n, h)  # the tie binomial for even n; the rest follow exactly
-    tie = 0.5 * c * p**h * q**h if n % 2 == 0 else 0.0
+    middle = float(c) if n % 2 == 0 else 0.0
     terms = []
     for k in range(h + 1, n + 1):
         c = c * (n - k + 1) // k  # C(n, k) from C(n, k-1), exactly
-        terms.append(c * p**k * q ** (n - k))
-    return min(math.fsum(terms) + tie, 1.0)
+        terms.append((float(c), float(k), float(n - k)))
+
+    def tail(p: float) -> float:
+        q = 1.0 - p
+        tie = 0.5 * middle * p**h * q**h if n % 2 == 0 else 0.0
+        return min(math.fsum([c * p**k * q**j for c, k, j in terms]) + tie, 1.0)
+
+    return tail
 
 
 def majority_prob_heterogeneous(

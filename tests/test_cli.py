@@ -315,8 +315,9 @@ class TestExitCodes:
         assert invoke(capsys, *argv) == (code, "", stderr)
 
     # (argv, exit code, stderr) for missing or clashing arguments, a group
-    # size beyond float range, and input files that fail to parse or to
-    # integrate; a {name} argument is the path of FILES[name]
+    # size beyond float range, a grid one point above its ceiling, and input
+    # files that fail to parse or to integrate; a {name} argument is the path
+    # of FILES[name]
     FILES = {
         "text-cov": "2\n0.24 x\n0 0.24\n",
         "short-row-cov": "2\n0.24 0\n0\n",
@@ -337,6 +338,11 @@ class TestExitCodes:
             ("bound", "concentration", "--n", "1" + "0" * 400, "--pbar", "0.6"),
             1,
             "error: group size must be positive and finite, got inf\n",
+        ),
+        "tradeoff-points-above-ceiling": (
+            ("tradeoff", "--c1", "1", "--cg", "2", "--n", "3", "--t-max", "1", "--points", "1000001"),
+            1,
+            "error: points must be at most 1000000, got 1000001\n",
         ),
         "ladha-without-cov": (
             ("bound", "ladha", "--probs", "0.6"),

@@ -153,8 +153,10 @@ class TestLadhaBound:
     def test_exact_majority_moments_pin_the_bound_at_one(self):
         # the vote count is the constant ceil(n/2), so sigma^2 = 0 exactly
         # and the bound saturates at 1 for every n; dropping the covariance
-        # term instead would degrade it to 1/(n+1)
-        for n in (3, 7, 15, 31, 63):
+        # term instead would degrade it to 1/(n+1); at 179, 187, 1001 and 2001
+        # a pair covariance taken as a difference of floats puts sigma^2
+        # below -1e-12, and the bound refuses the model as infeasible
+        for n in (3, 7, 15, 31, 63, 179, 187, 1001, 2001):
             spec = model_moments(ExactMajoritySet(n))
             sigma2 = float(np.diag(spec.cov).sum() + 2.0 * np.triu(spec.cov, 1).sum())
             assert abs(sigma2) < 1e-12

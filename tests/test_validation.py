@@ -50,7 +50,7 @@ from jurylearn import (
     sample_majority_rate,
     vote_distribution,
 )
-from jurylearn import _checks, correlation, profiles, votemath
+from jurylearn import _checks, correlation, figures, profiles, tradeoff, votemath
 from jurylearn.cli import run
 from jurylearn.profiles import uniform_grid
 
@@ -375,8 +375,8 @@ def test_tie_rule_is_checked_before_the_fold(monkeypatch):
 
 
 def test_tie_rule_is_checked_before_the_tail(monkeypatch):
-    for module in (votemath, profiles):
-        monkeypatch.setattr(module, "_homogeneous_tail", None)  # calling the tail now raises TypeError
+    for module in (votemath, profiles, tradeoff, figures):
+        monkeypatch.setattr(module, "_tail_of", None)  # building the tail now raises TypeError
     for rule in ("bogus", MajorityRule.FAIL):
         with pytest.raises(DomainError):
             majority_prob_homogeneous(4, 0.6, rule)
@@ -392,6 +392,22 @@ def test_library_loops_check_each_value_once(monkeypatch):
     assert calls == []  # no check per (n, p) point: figure 1 makes its own p in [1/2, 1]
     cost_to_reach(41, 0.9, LinearProfile(1.0))  # the profile's constructor checks with positive, not within
     assert len(calls) == 1  # the profile's target check, not one per bisection step
+
+
+def test_library_loops_build_each_tail_once(monkeypatch):
+    builds = []
+    tail_of = votemath._tail_of
+    for module in (votemath, profiles, tradeoff, figures):
+        monkeypatch.setattr(module, "_tail_of", lambda n: builds.append(n) or tail_of(n))
+    cost_to_reach(41, 0.9, LinearProfile(1.0))
+    assert builds == [41]  # the reachable bound and all 43 bisection steps share one tail
+    figure_table(1)
+    assert builds == [41, 1, 3, 5, 7, 91]  # one per size, not one per (n, p) point
+    for grid in ([0.0, 0.5, 1.0], [0.25] * 7):
+        competence_curve(LinearProfile(1.0), 3, grid)
+    assert builds == [41, 1, 3, 5, 7, 91, 3, 3]
+    assert competence_curve(LinearProfile(1.0), 3, []) == []
+    assert len(builds) == 8  # an empty grid builds none
 
 
 def test_power_profile_saturates_without_overflow():
