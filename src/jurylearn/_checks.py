@@ -19,6 +19,9 @@ from typing import Iterable
 
 from .errors import DomainError
 
+# Ceiling on a list a command holds whole: RK4 steps, grid points, an extremal jury.
+MAX_HELD = 10**6
+
 
 def number(value, name: str) -> float:
     try:

@@ -136,8 +136,7 @@ class CommonCoin:
     mix: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _checks.count(self.n, "number of voters"))
-        _checks.within(self.n, "number of voters", 1, _BLOCK)
+        object.__setattr__(self, "n", _checks.count(self.n, "number of voters", maximum=_BLOCK))
         object.__setattr__(self, "p", _checks.within(self.p, "coin bias"))
         object.__setattr__(self, "mix", _checks.within(self.mix, "mixing weight"))
 

@@ -1,17 +1,15 @@
-"""Minimal CSV tables with exact round-tripping.
+"""Minimal write-only CSV tables.
 
-``render_row`` renders every line: numbers in shortest round-trip form
-(Python's repr), rationals as ``numerator/denominator``, booleans as
-``true``/``false``.  Every cell a command emits re-parses exactly, which is
-what the golden-file style tests rely on; a text cell that reads as a number
-or boolean (``"1/2"``, ``"true"``) re-parses as that value, and no command
-emits one.  Separator is always ``,`` and the decimal point ``.`` regardless
-of locale.
+``render_row`` renders every line.  A cell is an int in decimal, a float in
+shortest round-trip form (Python's repr), a rational as
+``numerator/denominator``, a boolean as ``true``/``false`` and text (a
+header) as itself; plain ``int``, ``float`` and ``Fraction`` read each
+numeric cell back as exactly the value written.  Separator is always ``,``
+and the decimal point ``.`` regardless of locale.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +20,6 @@ from .errors import DomainError
 __all__ = ["Cell", "CsvTable", "render_row"]
 
 Cell = int | float | Fraction | bool | str
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def _render_cell(cell: Cell) -> str:
@@ -52,24 +48,6 @@ def render_row(cells: Iterable[Cell]) -> str:
     return ",".join(map(_render_cell, cells)) + "\n"
 
 
-def _parse_cell(text: str) -> Cell:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if _INT_RE.match(text):
-        return int(text)
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            return text
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 @dataclass(frozen=True)
 class CsvTable:
     header: tuple[str, ...]
@@ -88,12 +66,3 @@ class CsvTable:
 
     def render(self) -> str:
         return "".join(map(render_row, (self.header, *self.rows)))
-
-    @classmethod
-    def parse(cls, text: str) -> "CsvTable":
-        lines = [line for line in text.splitlines() if line]
-        if not lines:
-            raise DomainError("empty CSV text")
-        header = tuple(lines[0].split(","))
-        rows = tuple(tuple(_parse_cell(c) for c in line.split(",")) for line in lines[1:])
-        return cls(header=header, rows=rows)

@@ -53,10 +53,6 @@ __all__ = [
     "trajectory_table",
 ]
 
-# Ceiling on t_end/step (integrate keeps every state); bundled scenarios take <= 8,000.
-MAX_STEPS = 10**6
-
-
 @dataclass(frozen=True)
 class DynamicsConfig:
     n: int
@@ -74,7 +70,8 @@ class DynamicsConfig:
             raise DomainError(f"expected {n} initial competences, got {len(initial)}")
         t_end = _checks.non_negative(self.t_end, "end time")
         step = _checks.positive(self.step, "step size")
-        _checks.within(t_end / step, "step count t_end/step", 0.0, MAX_STEPS)
+        # integrate keeps every state; bundled scenarios take <= 8,000 steps
+        _checks.within(t_end / step, "step count t_end/step", 0.0, _checks.MAX_HELD)
         window = None if self.window is None else _checks.positive(self.window, "window radius")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "initial", initial)

@@ -134,14 +134,10 @@ def competence_curve(
     return [(t, tail(profile.evaluate(t / n))) for t in grid]
 
 
-# Ceiling on uniform_grid's points (the grid is held whole), the same as dynamics.MAX_STEPS.
-MAX_POINTS = 10**6
-
-
 def uniform_grid(t_max: float, points: int) -> list[float]:
-    """``points`` (2 to ``MAX_POINTS``) equally spaced values from 0 to ``t_max``, both ends included."""
+    """``points`` (2 to ``_checks.MAX_HELD``) equally spaced values from 0 to ``t_max``, both ends included."""
     t_max = _checks.non_negative(t_max, "t_max")
-    points = _checks.count(points, "points", minimum=2, maximum=MAX_POINTS)
+    points = _checks.count(points, "points", minimum=2, maximum=_checks.MAX_HELD)
     return [t_max * i / (points - 1) for i in range(points)]
 
 

@@ -199,7 +199,7 @@ def hoeffding_extremal(n: int, pbar: float) -> tuple[float, ...]:
     this jury decides correctly with probability exactly 1; below that mean
     the composition is generally not optimal.
     """
-    n = _checks.count(n, "group size")
+    n = _checks.count(n, "group size", maximum=_checks.MAX_HELD)
     pbar = _checks.within(pbar, "mean competence")
     total = pbar * n
     ones = min(int(math.floor(total)), n)

@@ -44,9 +44,8 @@ from jurylearn import (
     OutcomeKind,
 )
 from jurylearn.cli import run as cli_run
-from jurylearn.csvio import CsvTable
-
 from oracles import enumerate_majority_prob, sample_many_with_mean
+from test_cli import cells, reads_back
 
 
 def check(criterion: int, description: str, ok: bool, detail: str = ""):
@@ -65,7 +64,7 @@ def _cli(capsys, *argv) -> str:
 
 def test_criterion_01_critical_rate_table(capsys):
     out = _cli(capsys, "rates", "critical", "--n-max", "15")
-    exact = [row[1] for row in CsvTable.parse(out).rows]
+    exact = [reads_back(row[1]) for row in cells(out)[1]]
     expected = [
         Fraction(1),
         Fraction(2),

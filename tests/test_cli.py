@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jurylearn import cli
@@ -18,6 +19,40 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Input files for argv tables: an argument {name} stands for the path of FILES[name].
+FILES = {
+    "cov": "3\n0.24 0 0\n0 0.24 0\n0 0 0.24\n",
+    "cov-diagonal": "2\n0.24 0\n0 0.21\n",
+    "cov-correlated": "2\n0.24 0.05\n0.05 0.21\n",
+    "text-cov": "2\n0.24 x\n0 0.24\n",
+    "short-row-cov": "2\n0.24 0\n0\n",
+    "blow-up": "n = 2\ninitial = 0.55, 0.5\nkappa = 1e308\nmultiplier = 10\nt_end = 1\nstep = 0.5\n",
+}
+
+
+def invoke_with_files(capsys, tmp_path, argv):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    return invoke(capsys, *(str(tmp_path / arg[1:-1]) if arg.startswith("{") else arg for arg in argv))
+
+
+def cells(out):
+    """The header and the rows of a command's CSV output, every cell as its text."""
+    header, *rows = (tuple(line.split(",")) for line in out.splitlines())
+    return header, rows
+
+
+def reads_back(cell):
+    """The int, Fraction or float ``cell`` reads as; the test fails unless ``cell`` is its exact text."""
+    kind = int if cell.lstrip("-").isdigit() else Fraction if "/" in cell else float
+    try:
+        value = kind(cell)
+    except (ValueError, ZeroDivisionError):
+        pytest.fail(f"cell {cell!r} is not a number")
+    assert str(value) == cell, f"cell {cell!r} reads as {value!r}"
+    return value
 
 
 class TestScalarCommands:
@@ -85,30 +120,76 @@ class TestScalarCommands:
 
 class TestBareValues:
     # (argv, exact stdout): a bare value is one headerless CSV row, rendered
-    # by the same cell rules as a table.
+    # by the same cell rules as a table.  The smoke run in CI pins these
+    # values too.
     CASES = {
         "majority": (("majority", "--n", "3", "--p", "0.6"), "0.648\n"),
+        "majority-1029": (("majority", "--n", "1029", "--p", "0.6"), "0.9999999999549735\n"),
+        "majority-1028-fair-coin": (
+            ("majority", "--n", "1028", "--p", "0.6", "--tie-break", "fair-coin"),
+            "0.9999999999530536\n",
+        ),
+        "majority-probs": (("majority", "--probs", "0.6,0.7,0.8"), "0.788\n"),
+        "majority-probs-fair-coin": (("majority", "--probs", "0.6,0.7", "--tie-break", "fair-coin"), "0.65\n"),
         "extremal": (("extremal", "--n", "3", "--pbar", "0.7"), "1.0,1.0,0.09999999999999964\n"),
         "majorize-true": (("majorize", "--a", "1,1,0.1", "--b", "0.7,0.7,0.7"), "true\n"),
         "majorize-false": (("majorize", "--a", "0.6,0.6,0.6", "--b", "0.9,0.5,0.4"), "false\n"),
         "bound-concentration": (("bound", "concentration", "--n", "100", "--pbar", "0.6"), "0.7357588823428849\n"),
         "bound-ladha": (("bound", "ladha", "--probs", "0.6,0.6,0.6", "--cov", "{cov}"), "0.11111111111111106\n"),
+        "bound-ladha-diagonal": (
+            ("bound", "ladha", "--probs", "0.6,0.7", "--cov", "{cov-diagonal}"),
+            "0.16666666666666655\n",
+        ),
+        "bound-ladha-correlated": (
+            ("bound", "ladha", "--probs", "0.6,0.7", "--cov", "{cov-correlated}"),
+            "0.1406249999999999\n",
+        ),
+    }
+    # (argv, exact stdout) for tables, header line included
+    TABLES = {
+        "correlate-exactmajority": (
+            ("correlate", "--model", "exactmajority:n=5", "--trials", "8", "--seed", "1"),
+            "estimate,stderr\n1.0,0.0\n",
+        ),
+        "correlate-commoncoin": (
+            ("correlate", "--model", "commoncoin:p=0.6,lambda=0.5,n=31", "--trials", "200001", "--seed", "7"),
+            "estimate,stderr\n0.7356113219433903,0.00098611949717168\n",
+        ),
+        "correlate-independent": (
+            ("correlate", "--model", "independent:probs=0.6,0.7,0.55,0.8", "--trials", "200001", "--seed", "7"),
+            "estimate,stderr\n0.7363813180934096,0.0009851977005705837\n",
+        ),
+        "cost-linear": (
+            ("cost", "--pstar", "0.8", "--profile", "linear:c=1.0", "--n-list", "1,3"),
+            "n,cost\n1,0.29999999999998295\n3,0.6385778237498414\n",
+        ),
+        "cost-plateau": (
+            ("cost", "--pstar", "0.7", "--profile", "plateau:a=1.0,cap=0.75", "--n-list", "1,3,5"),
+            "n,cost\n1,0.20000000000001705\n3,0.41022752672822094\n5,0.5509082473453475\n",
+        ),
+        "tradeoff": (
+            ("tradeoff", "--c1", "1", "--cg", "2", "--n", "3", "--t-max", "1", "--points", "3"),
+            "T,P_single,P_group\n0.0,0.5,0.5\n0.5,1.0,0.9259259259259258\n1.0,1.0,1.0\n",
+        ),
+        "rates-expert": (
+            ("rates", "expert", "--n-max", "5"),
+            "n,exact,value,asymptote\n1,1,1.0,0.7978845608028654\n3,3/2,1.5,1.381976597885342\n"
+            "5,15/8,1.875,1.7841241161527712\n",
+        ),
     }
 
-    @pytest.mark.parametrize("argv, text", CASES.values(), ids=CASES.keys())
+    @pytest.mark.parametrize("argv, text", [*CASES.values(), *TABLES.values()], ids=[*CASES, *TABLES])
     def test_stdout_bytes(self, capsys, tmp_path, argv, text):
-        cov = tmp_path / "cov.txt"
-        cov.write_text("3\n0.24 0 0\n0 0.24 0\n0 0 0.24\n")
-        assert invoke(capsys, *(arg.replace("{cov}", str(cov)) for arg in argv)) == (0, text, "")
+        assert invoke_with_files(capsys, tmp_path, argv) == (0, text, "")
 
 
 class TestRates:
     def test_critical_table(self, capsys):
         code, out, _ = invoke(capsys, "rates", "critical", "--n-max", "15")
         assert code == 0
-        table = CsvTable.parse(out)
-        assert table.header == ("n", "exact", "value", "asymptote")
-        exact = [row[1] for row in table.rows]
+        header, rows = cells(out)
+        assert header == ("n", "exact", "value", "asymptote")
+        exact = [reads_back(row[1]) for row in rows]
         assert exact == [
             1,
             2,
@@ -124,8 +205,7 @@ class TestRates:
     def test_expert_table(self, capsys):
         code, out, _ = invoke(capsys, "rates", "expert", "--n-max", "15")
         assert code == 0
-        table = CsvTable.parse(out)
-        exact = [row[1] for row in table.rows[1:]]
+        exact = [reads_back(row[1]) for row in cells(out)[1][1:]]
         assert exact == [
             Fraction(3, 2),
             Fraction(15, 8),
@@ -186,19 +266,19 @@ class TestTables:
             capsys, "tradeoff", "--c1", "1", "--cg", "2", "--n", "3", "--t-max", "1", "--points", "11"
         )
         assert code == 0
-        table = CsvTable.parse(out)
-        assert table.header == ("T", "P_single", "P_group")
-        assert len(table.rows) == 11
-        assert table.rows[0] == (0.0, 0.5, 0.5)
+        header, rows = cells(out)
+        assert header == ("T", "P_single", "P_group")
+        assert len(rows) == 11
+        assert rows[0] == ("0.0", "0.5", "0.5")
 
     def test_cost_rows(self, capsys):
         code, out, _ = invoke(
             capsys, "cost", "--pstar", "0.8", "--profile", "linear:c=1.0", "--n-list", "1,3,5"
         )
         assert code == 0
-        table = CsvTable.parse(out)
-        assert [row[0] for row in table.rows] == [1, 3, 5]
-        assert table.rows[0][1] == pytest.approx(0.3, abs=1e-9)
+        _, rows = cells(out)
+        assert [row[0] for row in rows] == ["1", "3", "5"]
+        assert reads_back(rows[0][1]) == pytest.approx(0.3, abs=1e-9)
 
     def test_cost_unattainable_is_clean_failure(self, capsys):
         code, out, err = invoke(
@@ -211,19 +291,20 @@ class TestTables:
     def test_simulate_scenario(self, capsys):
         code, out, _ = invoke(capsys, "simulate", "--scenario", "drift3")
         assert code == 0
-        table = CsvTable.parse(out)
-        assert table.header == ("t", "p1", "p2", "p3", "P_group")
-        assert len(table.rows) == 6001
-        assert all(isinstance(c, (int, float)) for row in table.rows for c in row)
+        header, rows = cells(out)
+        assert header == ("t", "p1", "p2", "p3", "P_group")
+        assert len(rows) == 6001
+        values = [tuple(map(reads_back, row)) for row in rows]
+        assert all(isinstance(v, (int, float)) for row in values for v in row)
         # P(correct) for (0.55, 0.75, 0.45): sum of pair products - 2 * triple
-        assert table.rows[0] == (0.0, 0.55, 0.75, 0.45, pytest.approx(0.62625, abs=1e-12))
+        assert values[0] == (0.0, 0.55, 0.75, 0.45, pytest.approx(0.62625, abs=1e-12))
 
     def test_simulate_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text("n = 1\ninitial = 0.5\nkappa = 0.1\nt_end = 1\nstep = 0.1\n")
         code, out, _ = invoke(capsys, "simulate", "--config", str(cfg))
         assert code == 0
-        assert len(CsvTable.parse(out).rows) == 11
+        assert len(cells(out)[1]) == 11
 
     def test_simulate_needs_exactly_one_source(self, capsys):
         code, *_ = invoke(capsys, "simulate")
@@ -236,9 +317,9 @@ class TestTables:
             capsys, "correlate", "--model", "exactmajority:n=5", "--trials", "1000", "--seed", "1"
         )
         assert code == 0
-        table = CsvTable.parse(out)
-        assert table.header == ("estimate", "stderr")
-        assert table.rows[0][0] == 1.0
+        header, rows = cells(out)
+        assert header == ("estimate", "stderr")
+        assert rows[0][0] == "1.0"
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "table.csv"
@@ -314,15 +395,9 @@ class TestExitCodes:
     def test_cost_rejection_messages(self, capsys, argv, code, stderr):
         assert invoke(capsys, *argv) == (code, "", stderr)
 
-    # (argv, exit code, stderr) for missing or clashing arguments, a group
-    # size beyond float range, a grid one point above its ceiling, and input
-    # files that fail to parse or to integrate; a {name} argument is the path
-    # of FILES[name]
-    FILES = {
-        "text-cov": "2\n0.24 x\n0 0.24\n",
-        "short-row-cov": "2\n0.24 0\n0\n",
-        "blow-up": "n = 2\ninitial = 0.55, 0.5\nkappa = 1e308\nmultiplier = 10\nt_end = 1\nstep = 0.5\n",
-    }
+    # (argv, exit code, stderr) for missing or clashing arguments, malformed
+    # spec fields, a group size beyond float range, sizes one above their
+    # ceilings, and input files that fail to parse or to integrate
     NO_JURY = "error: specify either --n/--p or --probs\n"
     BAD_COV = "error: covariance entries must be finite numbers, every row of one length\n"
     ARGUMENT_REJECTIONS = {
@@ -344,6 +419,31 @@ class TestExitCodes:
             1,
             "error: points must be at most 1000000, got 1000001\n",
         ),
+        "extremal-n-above-ceiling": (
+            ("extremal", "--n", "1000001", "--pbar", "0.7"),
+            1,
+            "error: group size must be at most 1000000, got 1000001\n",
+        ),
+        "extremal-n-beyond-float": (
+            ("extremal", "--n", "1" + "0" * 400, "--pbar", "0.7"),
+            1,
+            "error: group size must be at most 1000000, got inf\n",
+        ),
+        "correlate-commoncoin-above-block": (
+            ("correlate", "--model", "commoncoin:p=0.6,lambda=0.5,n=1048577", "--trials", "1", "--seed", "1"),
+            1,
+            "error: number of voters must be at most 1048576, got 1048577\n",
+        ),
+        "cost-malformed-profile-field": (
+            ("cost", "--pstar", "0.8", "--profile", "linear:1.0", "--n-list", "3"),
+            1,
+            "error: malformed profile field '1.0' in 'linear:1.0'\n",
+        ),
+        "correlate-malformed-model-field": (
+            ("correlate", "--model", "commoncoin:0.6", "--trials", "1", "--seed", "1"),
+            1,
+            "error: malformed model field '0.6' in 'commoncoin:0.6'\n",
+        ),
         "ladha-without-cov": (
             ("bound", "ladha", "--probs", "0.6"),
             1,
@@ -356,10 +456,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, code, stderr", ARGUMENT_REJECTIONS.values(), ids=ARGUMENT_REJECTIONS.keys())
     def test_argument_and_file_rejections(self, capsys, tmp_path, argv, code, stderr):
-        for name, text in self.FILES.items():
-            (tmp_path / name).write_text(text)
-        argv = [str(tmp_path / arg[1:-1]) if arg.startswith("{") else arg for arg in argv]
-        assert invoke(capsys, *argv) == (code, "", stderr)
+        assert invoke_with_files(capsys, tmp_path, argv) == (code, "", stderr)
 
     def test_console_entry_point(self):
         result = subprocess.run(
@@ -375,11 +472,11 @@ class TestFigures:
     def test_figure_one_columns(self, capsys):
         code, out, _ = invoke(capsys, "figure", "--id", "1")
         assert code == 0
-        table = CsvTable.parse(out)
-        assert table.header == ("p", "P_1", "P_3", "P_5", "P_7", "P_91")
-        assert table.rows[0][0] == 0.5
-        assert table.rows[-1][0] == 1.0
-        assert len(table.rows) == 512
+        header, rows = cells(out)
+        assert header == ("p", "P_1", "P_3", "P_5", "P_7", "P_91")
+        assert rows[0][0] == "0.5"
+        assert rows[-1][0] == "1.0"
+        assert len(rows) == 512
 
     def test_figure_invalid_id(self, capsys):
         assert invoke(capsys, "figure", "--id", "9")[0] == 2
@@ -407,10 +504,11 @@ class TestFigures:
     @pytest.mark.parametrize("fig_id", [1, 4, 6, 7, 8])
     def test_figure_round_trip(self, capsys, fig_id):
         _, out, _ = invoke(capsys, "figure", "--id", str(fig_id))
-        table = CsvTable.parse(out)
-        assert table.render() == out
-        # every data cell must re-parse as a number, never as leftover text
-        assert all(isinstance(c, (int, float)) for row in table.rows for c in row)
+        header, rows = cells(out)
+        values = [tuple(map(reads_back, row)) for row in rows]
+        # every data cell reads back as an int or a float, never as a rational or text
+        assert all(isinstance(v, (int, float)) for row in values for v in row)
+        assert CsvTable(header, values).render() == out
 
 
 def test_header_cell_with_a_comma_is_refused():
@@ -418,8 +516,8 @@ def test_header_cell_with_a_comma_is_refused():
         CsvTable(("n", "a,b"), [(1, 2)]).render()
 
 
-def test_undefined_fraction_reparses_as_text():
-    assert CsvTable.parse("a\n1/0\n").rows == (("1/0",),)
+def test_numpy_scalar_cell_renders_as_its_float():
+    assert render_row([np.float64(0.1)]) == "0.1\n"
 
 
 @pytest.mark.parametrize("cell", [10**5000, Fraction(10**5000 + 1, 3)], ids=["int", "fraction"])
@@ -465,6 +563,6 @@ class TestRoundTrip:
     @pytest.mark.parametrize("argv, sha256", CASES, ids=[f"argv{i}" for i in range(len(CASES))])
     def test_emitted_tables_reparse_exactly(self, capsys, argv, sha256):
         _, out, _ = invoke(capsys, *argv)
-        table = CsvTable.parse(out)
-        assert table.render() == out
+        header, rows = cells(out)
+        assert CsvTable(header, [map(reads_back, row) for row in rows]).render() == out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256

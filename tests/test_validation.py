@@ -22,6 +22,7 @@ from jurylearn import (
     CommonCoin,
     CompetenceVector,
     CovarianceSpec,
+    CsvTable,
     DomainError,
     DynamicsConfig,
     ExactMajoritySet,
@@ -38,6 +39,7 @@ from jurylearn import (
     derivative_at_half,
     derivative_field,
     figure_table,
+    format_profile,
     group_competence,
     hoeffding_extremal,
     initial_slope,
@@ -117,6 +119,9 @@ REJECTED = {
     "uniform_grid(inf, 3)": lambda: uniform_grid(INF, 3),
     "uniform_grid(-1, 3)": lambda: uniform_grid(-1, 3),
     "cost_to_reach(3, None)": lambda: cost_to_reach(3, None, LinearProfile(1.0)),
+    "format_profile(unknown type)": lambda: format_profile(object()),
+    "model_moments(unknown type)": lambda: model_moments(object()),
+    "CsvTable(ragged row)": lambda: CsvTable(("a", "b"), [(1, 2), (3,)]),
     "correlate commoncoin n=2.5": _correlate("commoncoin:p=0.6,lambda=0.5,n=2.5"),
     "correlate commoncoin n=inf": _correlate("commoncoin:p=0.6,lambda=0.5,n=inf"),
     "correlate commoncoin n=nan": _correlate("commoncoin:p=0.6,lambda=0.5,n=nan"),

@@ -339,6 +339,10 @@ class TestHoeffdingExtremal:
     def test_all_ones(self):
         assert hoeffding_extremal(3, 1.0) == (1.0, 1.0, 1.0)
 
+    def test_ceiling_jury_is_held_whole(self):
+        jury = hoeffding_extremal(10**6, 0.7)
+        assert len(jury) == 10**6 and set(map(type, jury)) == {float}
+
     def test_half_fraction(self):
         jury = hoeffding_extremal(5, 0.5)
         assert jury == pytest.approx((1.0, 1.0, 0.5, 0.0, 0.0), abs=1e-12)
