@@ -21,6 +21,8 @@ from .errors import DomainError
 
 # Ceiling on a list a command holds whole: RK4 steps, grid points, an extremal jury.
 MAX_HELD = 10**6
+# Ceiling on Monte Carlo trials; the sampler's run time grows with trials * voters.
+MAX_TRIALS = 10**9
 
 
 def number(value, name: str) -> float:

@@ -247,7 +247,7 @@ def sample_majority_rate(
     """
     import numpy as np
 
-    trials = _checks.count(trials, "trials")
+    trials = _checks.count(trials, "trials", maximum=_checks.MAX_TRIALS)
     base = _checks.count(seed, "seed", minimum=-math.inf) % (1 << 63)
     pending: collections.deque = collections.deque()  # at most two chunks per worker in flight
     hits = 0

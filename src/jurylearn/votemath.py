@@ -6,13 +6,14 @@ correct; for even group sizes a tie rule must be chosen explicitly.  The
 heterogeneous case is the Poisson binomial distribution, evaluated here by an
 O(n^2) convolution DP, exact up to float rounding for juries of up to a few
 thousand voters.  It folds a whole batch of juries at once in numpy, so a
-trajectory of group states costs one call; numpy is imported by the fold on
-its first call, and nothing else here needs it.  Each public function checks
-its arguments once, reading a jury (any sequence of competences) into tuples
-of plain floats.  The library's own loops call the unchecked fold on checked
-values, and build the unchecked homogeneous tail once per group size (its
-exact binomials, as floats) and then evaluate it at each checked p, so every
-float is the same as a checked call's.
+trajectory of group states costs one call; voters fold in blocks that share
+array views, and one jury folds plain-float factors.  numpy is imported by
+the fold on its first call, and nothing else here needs it.  Each public
+function checks its arguments once, reading a jury (any sequence of
+competences) into tuples of plain floats.  The library's own loops call the
+unchecked fold on checked values, and build the unchecked homogeneous tail
+once per group size (its exact binomials, as floats) and then evaluate it at
+each checked p, so every float is the same as a checked call's.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe for unrestricted concurrent use.
@@ -82,7 +83,9 @@ def _pmf(rows: Sequence[Sequence[float]]):
     # m[k]*q + m[k-1]*p, the same two products and one addition per cell as
     # a scalar fold, so every mass is the same float.  Exact zeros/ones stay
     # exact because their branch multiplies by 0.0.  Counts run along the
-    # first axis, so each count's juries are contiguous.
+    # first axis, so each count's juries are contiguous.  Voters fold in
+    # blocks of 64 that share one set of views (cells past the current count
+    # are zeros and stay so: 0*q + 0*p = 0); one jury folds plain floats.
     import numpy as np  # only the fold vectorizes; the rest of the package starts without it
 
     # one flat pass: twice as fast as np.asarray on a list of tuples
@@ -91,11 +94,14 @@ def _pmf(rows: Sequence[Sequence[float]]):
     mass = np.zeros((voters + 1, juries))
     mass[0] = 1.0
     up = np.empty_like(mass)
-    for j, (p, q) in enumerate(zip(rows.T, 1.0 - rows.T)):
-        head = mass[: j + 1]
-        np.multiply(head, p, out=up[: j + 1])
+    factors = zip(rows.T, 1.0 - rows.T) if juries > 1 else ((p, 1.0 - p) for p in rows[0].tolist())
+    for j, (p, q) in enumerate(factors):
+        if j % 64 == 0:
+            end = min(j + 64, voters)
+            head, top, shifted = mass[:end], up[:end], mass[1 : end + 1]
+        np.multiply(head, p, out=top)
         head *= q
-        mass[1 : j + 2] += up[: j + 1]
+        shifted += top
     return mass.T
 
 

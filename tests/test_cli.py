@@ -130,6 +130,10 @@ class TestBareValues:
             "0.9999999999530536\n",
         ),
         "majority-probs": (("majority", "--probs", "0.6,0.7,0.8"), "0.788\n"),
+        "majority-probs-129": (  # three blocks of the fold; the CI smoke run builds the same list
+            ("majority", "--probs", ",".join(str(0.5 + k / 400) for k in range(129))),
+            "0.9999331641692105\n",
+        ),
         "majority-probs-fair-coin": (("majority", "--probs", "0.6,0.7", "--tie-break", "fair-coin"), "0.65\n"),
         "extremal": (("extremal", "--n", "3", "--pbar", "0.7"), "1.0,1.0,0.09999999999999964\n"),
         "majorize-true": (("majorize", "--a", "1,1,0.1", "--b", "0.7,0.7,0.7"), "true\n"),
@@ -433,6 +437,11 @@ class TestExitCodes:
             ("correlate", "--model", "commoncoin:p=0.6,lambda=0.5,n=1048577", "--trials", "1", "--seed", "1"),
             1,
             "error: number of voters must be at most 1048576, got 1048577\n",
+        ),
+        "correlate-trials-above-ceiling": (
+            ("correlate", "--model", "exactmajority:n=5", "--trials", "1000000001", "--seed", "1"),
+            1,
+            "error: trials must be at most 1000000000, got 1000000001\n",
         ),
         "cost-malformed-profile-field": (
             ("cost", "--pstar", "0.8", "--profile", "linear:1.0", "--n-list", "3"),

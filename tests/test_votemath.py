@@ -250,6 +250,11 @@ def _random_competences(rng, n):
     return [rng.choice(special) if rng.random() < 0.2 else rng.random() for _ in range(n)]
 
 
+def _competent(rng, n):
+    # every voter in [0.5, 1): even the all-correct count stays a normal float
+    return [rng.uniform(0.5, 1.0) for _ in range(n)]
+
+
 class TestBatchedFold:
     def test_fold_matches_scalar_loop_bit_for_bit(self):
         rng = random.Random(2024)
@@ -257,9 +262,20 @@ class TestBatchedFold:
             probs = _random_competences(rng, rng.randint(1, 200))
             assert votemath._pmf(np.array([probs]))[0].tolist() == scalar_pmf(probs)
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 257])
+    def test_fold_matches_scalar_loop_across_voter_blocks(self, n):
+        # the fold shares its views over blocks of 64 voters; single juries and
+        # batches must both match the scalar loop on either side of a boundary;
+        # the special values of _random_competences mostly zero the top counts
+        rng = random.Random(n)
+        for juries in (1, 3, 5):
+            for draw in (_random_competences, _competent):
+                rows = [draw(rng, n) for _ in range(juries)]
+                assert votemath._pmf(rows).tolist() == [scalar_pmf(r) for r in rows]
+
     def test_rows_match_single_juries_bit_for_bit(self):
         rng = random.Random(7)
-        for n in (1, 2, 3, 4, 7, 10, 51, 200):
+        for n in (1, 2, 3, 4, 7, 10, 51, 64, 65, 129, 200):
             rows = [_random_competences(rng, n) for _ in range(25)]
             batched = votemath._majority_rows(rows)  # even n scores a tie as FAIR_COIN
             single = [majority_prob_heterogeneous(CompetenceVector(r), MajorityRule.FAIR_COIN) for r in rows]
@@ -468,3 +484,14 @@ class TestConcentrationBound:
                 pbar = 0.5 + 0.01 * i
                 fail = 1.0 - majority_prob_homogeneous(n, pbar)
                 assert fail <= concentration_failure_bound(n, pbar) + 1e-15
+
+    def test_dominates_failure_of_mixed_juries(self):
+        # Hoeffding's inequality needs only independence, so the bound holds for
+        # any jury of mean pbar, not only the homogeneous one
+        rng = np.random.default_rng(12)
+        for n in (*range(1, 12), 50, 63, 64, 65, 100, 128, 129, 200, 255, 256, 300, 301):
+            for target in rng.uniform(0.5, 0.95, 4):
+                for row in sample_many_with_mean(rng, 3, n, target).tolist():
+                    pbar = max(math.fsum(row) / n, 0.5)  # the realized mean, off the target by ~1e-14
+                    fail = 1.0 - majority_prob_heterogeneous(row, MajorityRule.FAIR_COIN)
+                    assert fail <= concentration_failure_bound(n, pbar) + 1e-15
