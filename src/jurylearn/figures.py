@@ -25,7 +25,7 @@ from .csvio import CsvTable
 from .dynamics import integrate, load_scenario, trajectory_table
 from .errors import DomainError
 from .profiles import LearningProfile, LinearProfile, PlateauProfile, PowerProfile
-from .profiles import competence_curve, uniform_grid
+from .profiles import uniform_grid
 from .tradeoff import cost_curve, critical_group_rate, fixed_budget_compare
 from .votemath import _tail_of
 
@@ -54,27 +54,24 @@ def _fixed_budget_table(group_rates: tuple[float, ...], t_max: float) -> CsvTabl
 
 
 def _figure_cost_regimes() -> CsvTable:
-    ns = list(range(1, 43, 2))
-    sweeps = {
+    schedules = {
         "cost_rate1": lambda n: LinearProfile(1.0),
         "cost_critical": lambda n: LinearProfile(float(critical_group_rate(n))),
         "cost_2x_critical": lambda n: LinearProfile(2.0 * float(critical_group_rate(n))),
     }
-    columns = {name: dict(cost_curve(0.8, ns, profile_for)) for name, profile_for in sweeps.items()}
-    header = ("n",) + tuple(sweeps)
-    rows = [(n,) + tuple(columns[name][n] for name in sweeps) for n in ns]
-    return CsvTable(header, rows)
+    return CsvTable(("n",) + tuple(schedules), cost_curve(0.8, range(1, 43, 2), *schedules.values()))
 
 
 def _profile_table(single: LearningProfile, groups: dict[str, LearningProfile], t_max: float) -> CsvTable:
     """T, P1 for one voter on ``single``, then p3<suffix>, P3<suffix> for three sharing T."""
     grid = uniform_grid(t_max, GRID_POINTS)
+    tail = _tail_of(3)
     header = ["T", "P1"]
     columns = [[single.evaluate(t) for t in grid]]
     for suffix, profile in groups.items():
         header += [f"p3{suffix}", f"P3{suffix}"]
-        columns.append([profile.evaluate(t / 3) for t in grid])
-        columns.append([p for _, p in competence_curve(profile, 3, grid)])
+        members = [profile.evaluate(t / 3) for t in grid]
+        columns += [members, [tail(p) for p in members]]
     return CsvTable(tuple(header), list(zip(grid, *columns)))
 
 

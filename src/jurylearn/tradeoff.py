@@ -13,7 +13,9 @@ the slope of the majority-probability curve at p = 1/2:
 Their product is exactly n.  ``fixed_budget_compare`` reads its group column
 off ``profiles.competence_curve``.  The cost analysis inverts the majority
 curve by bisection (guaranteed convergence on a monotone function), then the
-learning profile in closed form; ``cost_curve`` sweeps it over group sizes.
+learning profile in closed form.  ``cost_curve(p_star, n_list, profile_for,
+*more)`` is the one cost sweep over group sizes and one or more rate
+schedules: one bisection per size and target, shared by every schedule.
 """
 
 from __future__ import annotations
@@ -120,40 +122,59 @@ def _invert_majority(tail: Callable[[float], float], target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def cost_to_reach(n: int, target: float, profile: LearningProfile) -> CostResult:
-    """Per-voter time t* at which n voters learning along ``profile`` reach
-    group competence ``target``, and the total cost n*t*."""
-    n = _checks.count(n, "group size", odd=True)
+def _costs(n: int, target: float, profiles: Sequence[LearningProfile]) -> list[CostResult]:
+    # One tail for a checked n and one bisection for the target, run once the
+    # first profile passes its reachable check; every profile then clips the
+    # inverse to its own sup and inverts in closed form.
     p = _checks.number(target, "target competence")
     if not 0.5 < p < 1.0:
         raise DomainError(
             f"target competence must lie strictly between 1/2 and 1, got {_checks.shown(target)}"
         )
     tail = _tail_of(n)
-    reachable = tail(profile.sup_competence)
-    if p > reachable + 1e-12:
-        raise UnattainableTargetError(
-            f"group of {n} tops out at competence {reachable:.6g} "
-            f"under this profile; {p} is unreachable"
-        )
-    p_star = min(_invert_majority(tail, p), profile.sup_competence)
-    t_star = profile.time_to_reach(p_star)
-    return CostResult(t_star, _checks.non_negative(n * t_star, "cost"))
+    inverse = None
+    results = []
+    for profile in profiles:
+        reachable = tail(profile.sup_competence)
+        if p > reachable + 1e-12:
+            raise UnattainableTargetError(
+                f"group of {n} tops out at competence {reachable:.6g} "
+                f"under this profile; {p} is unreachable"
+            )
+        if inverse is None:
+            inverse = _invert_majority(tail, p)
+        t_star = profile.time_to_reach(min(inverse, profile.sup_competence))
+        results.append(CostResult(t_star, _checks.non_negative(n * t_star, "cost")))
+    return results
+
+
+def cost_to_reach(n: int, target: float, profile: LearningProfile) -> CostResult:
+    """Per-voter time t* at which n voters learning along ``profile`` reach
+    group competence ``target``, and the total cost n*t*."""
+    n = _checks.count(n, "group size", odd=True)
+    return _costs(n, target, [profile])[0]
 
 
 def cost_curve(
     p_star: float,
     n_list: Sequence[int],
     profile_for: Callable[[int], LearningProfile],
-) -> list[tuple[int, float]]:
-    """(n, cost) rows: the cost of reaching group competence ``p_star`` for each n.
+    *more: Callable[[int], LearningProfile],
+) -> list[tuple]:
+    """(n, cost, ...) rows: the cost of reaching group competence ``p_star`` for
+    each n, one cost column per rate schedule.
 
-    ``profile_for`` maps a group size to its members' learning profile, so one
-    call sweeps a fixed profile (``lambda n: profile``) as well as per-n rate
+    A schedule maps a group size to its members' learning profile, so one call
+    sweeps a fixed profile (``lambda n: profile``) as well as per-n rate
     schedules such as ``lambda n: LinearProfile(float(critical_group_rate(n)))``.
+    Each n is checked and its tail built once, and the majority curve is
+    inverted once per size and target, shared by every schedule; the first
+    size at which some schedule fails raises that schedule's error.
     """
+    schedules = (profile_for, *more)
     rows = []
     for n in n_list:
         n = _checks.count(n, "group size", odd=True)
-        rows.append((n, cost_to_reach(n, p_star, profile_for(n)).cost))
+        profiles = [schedule(n) for schedule in schedules]
+        rows.append((n, *(result.cost for result in _costs(n, p_star, profiles))))
     return rows

@@ -26,6 +26,8 @@ from jurylearn import (
     majority_prob_heterogeneous,
     majority_prob_homogeneous,
 )
+from jurylearn.tradeoff import _invert_majority
+from jurylearn.votemath import _tail_of
 
 CRITICAL_TABLE = {
     1: Fraction(1),
@@ -289,3 +291,44 @@ class TestCostCurve:
         # rates growing faster than the critical schedule push the cost down
         costs = [c for _, c in cost_curve(0.8, self.NS, lambda n: LinearProfile(float(n)))]
         assert all(b < a for a, b in zip(costs, costs[1:]))
+
+
+class TestSharedCostSweep:
+    """Several schedules in one ``cost_curve`` give what one sweep each gives, bit for bit."""
+
+    def test_plateau_clipped_at_its_cap(self):
+        cap = 0.75
+        target = _tail_of(3)(cap) + 5e-13  # within the reachable slack, so the inverse passes the cap
+        assert _invert_majority(_tail_of(3), target) > cap
+        schedules = (
+            lambda n: LinearProfile(1.0),
+            lambda n: PlateauProfile(2.0, cap),
+            lambda n: LinearProfile(float(critical_group_rate(n))),
+        )
+        ns = [3, 5, 7]
+        shared = cost_curve(target, ns, *schedules)
+        columns = [cost_curve(target, ns, schedule) for schedule in schedules]
+        assert shared == [(n, *(column[i][1] for column in columns)) for i, n in enumerate(ns)]
+        assert shared[0][2] == 3 * (cap - 0.5) / 2.0  # min(p*, cap) = cap at n = 3
+
+    def test_later_schedule_unreachable_at_the_same_size(self):
+        schedules = (
+            lambda n: LinearProfile(1.0),
+            lambda n: PowerProfile(0.55),
+            lambda n: PlateauProfile(1.0, 0.9 if n < 5 else 0.55),
+        )
+        with pytest.raises(UnattainableTargetError) as single:
+            cost_curve(0.8, [1, 3, 5, 7], schedules[2])
+        with pytest.raises(UnattainableTargetError) as shared:
+            cost_curve(0.8, [1, 3, 5, 7], *schedules)
+        assert str(shared.value) == str(single.value)
+        assert str(single.value).startswith("group of 5 tops out")
+
+    def test_even_size_is_reported_before_a_bad_target(self):
+        schedules = (lambda n: LinearProfile(1.0), lambda n: LinearProfile(2.0))
+        for call in (lambda: cost_curve(1.5, [4], schedules[0]), lambda: cost_curve(1.5, [4], *schedules)):
+            with pytest.raises(DomainError, match="group size must be an odd integer >= 1, got 4"):
+                call()
+        with pytest.raises(DomainError, match="target competence must lie strictly between"):
+            cost_curve(1.5, [3, 4], *schedules)
+        assert cost_curve(1.5, [], *schedules) == []

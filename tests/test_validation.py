@@ -29,11 +29,13 @@ from jurylearn import (
     Independent,
     LinearProfile,
     MajorityRule,
+    PlateauProfile,
     PowerProfile,
     asymptotic_rate_check,
     classify_outcome,
     competence_curve,
     concentration_failure_bound,
+    cost_curve,
     cost_to_reach,
     critical_group_rate,
     derivative_at_half,
@@ -413,6 +415,24 @@ def test_library_loops_build_each_tail_once(monkeypatch):
     assert builds == [41, 1, 3, 5, 7, 91, 3, 3]
     assert competence_curve(LinearProfile(1.0), 3, []) == []
     assert len(builds) == 8  # an empty grid builds none
+
+
+def test_cost_sweeps_invert_each_size_once(monkeypatch):
+    builds, inversions = [], []
+    tail_of, invert = votemath._tail_of, tradeoff._invert_majority
+    for module in (votemath, profiles, tradeoff, figures):
+        monkeypatch.setattr(module, "_tail_of", lambda n: builds.append(n) or tail_of(n))
+    monkeypatch.setattr(tradeoff, "_invert_majority", lambda tail, p: inversions.append(p) or invert(tail, p))
+    figure_table(4)
+    assert builds == list(range(1, 43, 2))  # one tail per size, not one per (size, rate rule)
+    assert inversions == [0.8] * 21  # the three rate rules share each size's bisection
+    schedules = (lambda n: LinearProfile(1.0), lambda n: PlateauProfile(1.0, 0.9), lambda n: PowerProfile(2.0))
+    cost_curve(0.8, [1, 3, 5, 7], *schedules)
+    assert builds[21:] == [1, 3, 5, 7] and len(inversions) == 25  # m sizes, k schedules: m bisections
+    figure_table(5)
+    figure_table(6)
+    assert builds[25:] == [3, 3]  # one tail per table, read by every group profile's column
+    assert len(inversions) == 25
 
 
 def test_power_profile_saturates_without_overflow():
